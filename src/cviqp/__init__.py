@@ -70,6 +70,7 @@ from .gadgets import (
     fourier_gadget,
     fourier_gadget_target,
     gkp_error_correct,
+    outcome_distribution,
     qubit_state,
 )
 from .analysis import (

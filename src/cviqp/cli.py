@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -25,26 +24,22 @@ from . import analysis
 from .errors import NumericalError, ValidationError
 from .gadgets import (
     ShiftNoise,
-    _factored_bin_distribution,
-    centered_mod_sqrt_pi,
     dv_hadamard_gadget,
     dv_iqp_circuit,
     fourier_gadget,
     gkp_error_correct,
+    outcome_distribution,
     qubit_state,
 )
-from .gates import apply_cz, displace_q, tensor
+from .gates import displace_q
 from .homodyne import (
     DetectorParams,
-    bin_probabilities,
     ensemble_fidelity,
     gkp_readout,
     sample_outcome,
 )
-from .quadgrid import ModeState, Rep, as_rep, fidelity_pure, make_grid, normalized
+from .quadgrid import ModeState, Rep, fidelity_pure, make_grid, normalized
 from .states import GkpParams, gkp_minus, gkp_one, gkp_plus, gkp_zero, squeezed_momentum
-
-SQRT_PI = math.sqrt(math.pi)
 
 _GKP_STATES = {"plus": gkp_plus, "minus": gkp_minus, "zero": gkp_zero, "one": gkp_one}
 
@@ -191,14 +186,15 @@ def cmd_error_correct(args: argparse.Namespace) -> int:
     clean = gkp_plus(params, grid)
     data = displace_q(clean, u1)
     pre_fid = fidelity_pure(clean, data)
+    ancilla = gkp_zero(params, grid)
     # one conditioning per distinct outcome; trials resample the outcome only
-    dist = _ec_distribution(data, params, det, grid)
-    fid_cache: dict[int, float] = {}
+    dist = outcome_distribution(data, ancilla, det)
+    outcomes: dict[int, tuple] = {}
     rows = []
     for trial in range(int(cfg["trials"])):
         trial_seed = int(cfg["seed"]) + trial
         k = sample_outcome(dist, trial_seed)
-        if k not in fid_cache:
+        if k not in outcomes:
             rep = gkp_error_correct(
                 data,
                 params,
@@ -206,23 +202,23 @@ def cmd_error_correct(args: argparse.Namespace) -> int:
                 det,
                 fixed_outcome_k=k,
                 known_data_shift=(u1, 0.0),
+                ancilla_state=ancilla,
             )
-            fid_cache[k] = ensemble_fidelity(rep.output, clean)
-        p_k = det.bin_center(k)
-        correction = -centered_mod_sqrt_pi(p_k)
-        net = u1 + correction
+            outcomes[k] = (rep, ensemble_fidelity(rep.output, clean))
+        rep, post_fid = outcomes[k]
+        diag = rep.diagnostics
         rows.append(
             [
                 trial,
                 trial_seed,
                 k,
-                p_k,
-                correction,
-                net,
-                abs(u1) <= SQRT_PI / 2.0 - det.eta,
-                abs(net) > SQRT_PI / 2.0,
+                rep.outcome_value,
+                diag["applied_correction"],
+                diag["net_position_offset"],
+                diag["threshold_held"],
+                diag["logical_miscorrection"],
                 pre_fid,
-                fid_cache[k],
+                post_fid,
             ]
         )
     _write_csv(
@@ -243,14 +239,6 @@ def cmd_error_correct(args: argparse.Namespace) -> int:
         rows,
     )
     return 0
-
-
-def _ec_distribution(data, params, det, grid) -> dict[int, float]:
-    anc = gkp_zero(params, grid)
-    if grid.is_self_dual and det.sample_aligned(grid):
-        return _factored_bin_distribution(as_rep(data, Rep.POSITION), as_rep(anc, Rep.POSITION), det)
-    st = apply_cz(tensor(as_rep(data, Rep.POSITION), as_rep(anc, Rep.POSITION)))
-    return bin_probabilities(st, 2, det)
 
 
 def cmd_scaling(args: argparse.Namespace) -> int:

@@ -11,23 +11,21 @@ DV side: a dense statevector simulator for the Hadamard gadget and small IQP
 circuits (X-basis inputs and measurements, Z-diagonal phases), used as the
 brute-force reference for the CV constructions.
 
-Two evaluation engines produce identical numbers for the CV gadgets:
-
-* ``two_mode`` materializes the full n x n entangled state and routes
-  through the homodyne module (the default up to 4096 grid points);
-* ``factored`` never builds the two-mode array.  For a product input, the
-  conditional slice at measured momentum s factorizes as
-  kept(x) * meas_tilde(s - x), with meas_tilde the (periodic) transform of
-  the measured mode, so slices and the full outcome distribution are
-  O(n log n).  Requires a self-dual grid (dq == dp) so the shifted-argument
-  lookup is an exact circular indexing.
+One product-input engine evaluates the CV gadgets.  After CZ, the
+conditional slice at measured momentum s factorizes as
+kept(q) * meas_tilde(s - q), with meas_tilde the momentum transform of the
+measured mode, so slices and the full outcome distribution cost O(n log n)
+and no n x n array is built.  On self-dual grids (dq == dp) the transform is
+the grid FFT; on any other grid it is a chirp-z transform (Bluestein's
+algorithm).  The materialized two-mode path of the homodyne module computes
+the same numbers and serves as the brute-force oracle in the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,9 +36,7 @@ from .homodyne import (
     DetectorParams,
     _gauss_legendre,
     _quad_nodes_per_bin,
-    bin_probabilities,
     ensemble_fidelity,
-    project_bin,
     sample_outcome,
 )
 from .quadgrid import (
@@ -50,12 +46,10 @@ from .quadgrid import (
     normalized,
     to_momentum,
 )
-from .gates import apply_cz, apply_fourier, displace_p, displace_q, tensor
+from .gates import apply_fourier, displace_p, displace_q
 from .states import GkpParams, gkp_plus, gkp_zero, squeezed_momentum
 
 SQRT_PI = math.sqrt(math.pi)
-
-TWO_MODE_MAX_POINTS = 4096
 
 
 def centered_mod_sqrt_pi(x: float) -> float:
@@ -118,42 +112,142 @@ class GadgetReport:
 
 
 # ---------------------------------------------------------------------------
-# factored engine
+# product-input engine
+#
+# After CZ, measuring the momentum of one mode of a product input at s leaves
+# the other mode in kept(q) * meas_tilde(s - q), where meas_tilde is the
+# measured mode's momentum transform at continuum arguments.  With
+# q_j = (j - n/2) dq, the slice over the kept grid is one chirp-z transform
+# with ratio exp(i dq^2):
+#
+#     meas_tilde(s - q_m) = dq/sqrt(2 pi) sum_j [psi_j exp(-i s q_j)]
+#                           * exp(i dq^2 (m - n/2)(j - n/2)).
+#
+# On a self-dual grid dq^2 n = 2 pi, so the transform is the plain length-n
+# FFT and on-grid slices are circular lookups into one momentum transform.
+#
+# The chirp-z transform is written here in numpy rather than taken from
+# scipy.signal: importing scipy.signal about doubles the import time of the
+# package, and its w**(k**2/2) chirps drift off the unit circle (2.7e-10
+# relative on a 4096-point pixel probability, against 7e-16 for chirps built
+# from real phases with exact integer k^2).
+
+_ON_GRID_TOL = 1e-9  # node offsets below this many dq count as on-grid samples
+_CZT_BATCH_POINTS = 1 << 22  # bounds the (nodes x 2n) transform buffer
 
 
-def _require_factorable(a: ModeState) -> None:
-    if not a.grid.is_self_dual:
-        raise ValidationError(
-            "the factored gadget engine needs a self-dual grid (dq == dp); "
-            "use quadgrid.self_dual_grid or the two_mode engine"
-        )
+def _chirp(theta: float, k: np.ndarray) -> np.ndarray:
+    """exp(i theta k^2 / 2), with k^2 formed exactly in integers."""
+    k = np.asarray(k, dtype=np.int64)
+    return np.exp(0.5j * theta * (k * k).astype(np.float64))
 
 
-def _shifted_transform(measured: ModeState, eps: float) -> np.ndarray:
-    """Values of the measured mode's momentum transform at grid + eps."""
-    if eps == 0.0:
-        return to_momentum(measured).amplitudes
-    q = measured.grid.points
-    tilted = ModeState(measured.grid, Rep.POSITION, measured.amplitudes * np.exp(-1j * eps * q))
-    return to_momentum(tilted).amplitudes
+def _czt(x: np.ndarray, theta: float, j0: int, n_out: int, a0: int) -> np.ndarray:
+    """Chirp-z transform along the last axis, by Bluestein's algorithm.
+
+    y[..., a] = sum_j x[..., j] exp(i theta u v) for a = 0 .. n_out - 1,
+    with u = a + a0, v = j + j0 and u v = (u^2 + v^2 - (u - v)^2) / 2, so
+    the sum is a convolution with the chirp exp(-i theta (u - v)^2 / 2).
+    """
+    n = x.shape[-1]
+    size = 1 << (n + n_out - 2).bit_length()  # >= n + n_out - 1: no wrap-around
+    diff = np.arange(-(n - 1), n_out) + (a0 - j0)
+    kernel = np.fft.fft(np.conj(_chirp(theta, diff)), size)
+    spec = np.fft.fft(x * _chirp(theta, np.arange(n) + j0), size)
+    conv = np.fft.ifft(spec * kernel)[..., n - 1 : n - 1 + n_out]
+    return _chirp(theta, np.arange(n_out) + a0) * conv
 
 
-def _factored_slice(kept: ModeState, measured: ModeState, s: float) -> np.ndarray:
-    """Unnormalized conditional amplitudes kept(x) * meas_tilde(s - x) on the kept grid."""
+def _slices(measured: ModeState, s_values: np.ndarray) -> Iterator[np.ndarray]:
+    """meas_tilde(s - q_m) over the grid, one array per measured value s."""
     g = measured.grid
     n = g.n_points
-    ai = int(round((s + 0.5 * g.extent) / g.dq))
-    eps = s - (-0.5 * g.extent + ai * g.dq)
-    tilde = _shifted_transform(measured, eps)
-    idx = (ai + n // 2 - np.arange(n)) % n
-    return kept.amplitudes * tilde[idx]
+    psi = measured.amplitudes
+    if g.is_self_dual:
+        on_grid = None
+        offsets = n // 2 - np.arange(n)
+        for s in s_values:
+            a = int(round((s + 0.5 * g.extent) / g.dq))
+            eps = s - (-0.5 * g.extent + a * g.dq)
+            if abs(eps) <= _ON_GRID_TOL * g.dq:
+                if on_grid is None:
+                    on_grid = to_momentum(measured).amplitudes
+                tilde = on_grid
+            else:
+                tilted = ModeState(g, Rep.POSITION, psi * np.exp(-1j * eps * g.points))
+                tilde = to_momentum(tilted).amplitudes
+            yield tilde[(a + offsets) % n]
+        return
+    q = g.points
+    scale = g.dq / math.sqrt(2.0 * math.pi)
+    batch = max(1, _CZT_BATCH_POINTS // (2 * n))
+    for lo in range(0, len(s_values), batch):
+        x = psi * np.exp(-1j * np.outer(s_values[lo : lo + batch], q))
+        yield from scale * _czt(x, g.dq**2, -(n // 2), n, -(n // 2))
 
 
-def _factored_sample_masses(kept: ModeState, measured: ModeState) -> np.ndarray:
-    """Per-sample outcome masses of measuring the measured mode after CZ, O(n log n).
+def _condition(
+    kept: ModeState, measured: ModeState, det: DetectorParams, k: int
+) -> ConditionalEnsemble:
+    """Conditional ensemble of the kept mode for pixel k of the measured mode after CZ.
 
-    masses[a] = dp * dq * sum_m |kept_m|^2 |meas_tilde(p_a - x_m)|^2, evaluated
-    as a circular convolution on the self-dual grid.
+    Sample regime: one component per grid sample that ``det.bin_of`` assigns
+    to k, the rule :func:`outcome_distribution` uses too.  Sub-grid regime:
+    one component per Gauss-Legendre node inside the pixel.
+    """
+    g = measured.grid
+    if det.sample_aligned(g):
+        p = g.momentum_points
+        nodes = p[det.bin_of(p) == k]
+        node_measure = np.full(len(nodes), g.dp)
+    else:
+        lo, hi = det.bin_interval(k)
+        nodes, node_measure = _gauss_legendre(lo, hi, _quad_nodes_per_bin(det, g))
+    comps = []
+    total = 0.0
+    for w_node, tilde in zip(node_measure.tolist(), _slices(measured, nodes)):
+        raw = kept.amplitudes * tilde
+        sq = float(np.vdot(raw, raw).real * g.dq)
+        weight = sq * w_node
+        total += weight
+        if weight > 0.0:
+            comps.append((weight, ModeState(g, Rep.POSITION, raw / math.sqrt(sq))))
+    if total < ZERO_MASS_TOL:
+        raise ZeroMassBinError(f"bin k={k} carries probability {total:.3e}")
+    return ConditionalEnsemble(components=tuple(comps), total_probability=total)
+
+
+def _density_coefficients(kept: ModeState, measured: ModeState) -> np.ndarray:
+    """Coefficients c_d, d = 0 .. n-1, of the outcome density
+
+    D(s) = dq^3/(2 pi) [c_0 + 2 Re sum_{d>=1} c_d exp(-i s d dq)],
+
+    with c_d = R_d sum_m |kept_m|^2 exp(i q_m d dq) and R_d the
+    autocorrelation sum_j psi_{j+d} conj(psi_j) of the measured mode.
+    """
+    g = measured.grid
+    n = g.n_points
+    spec = np.fft.fft(measured.amplitudes, 2 * n)
+    autocorr = np.fft.ifft(np.abs(spec) ** 2)[:n]
+    weights = _czt(np.abs(kept.amplitudes) ** 2, g.dq**2, -(n // 2), n, 0)
+    return autocorr * weights
+
+
+def _density_on_lattice(
+    coeffs: np.ndarray, dq: float, offsets: np.ndarray, h: float, a0: int, n_out: int
+) -> np.ndarray:
+    """D(offset + (a0 + a) h) for a = 0 .. n_out - 1, one row per offset."""
+    half = coeffs.copy()
+    half[0] *= 0.5
+    x = half * np.exp(-1j * dq * np.outer(offsets, np.arange(len(coeffs))))
+    series = _czt(x, -h * dq, 0, n_out, a0)
+    return np.maximum(series.real * (dq**3 / math.pi), 0.0)
+
+
+def _circular_sample_masses(kept: ModeState, measured: ModeState) -> np.ndarray:
+    """Per-sample outcome masses on a self-dual grid, as a circular convolution.
+
+    masses[a] = dp * dq * sum_m |kept_m|^2 |meas_tilde(p_a - q_m)|^2.
     """
     g = measured.grid
     n = g.n_points
@@ -164,78 +258,55 @@ def _factored_sample_masses(kept: ModeState, measured: ModeState) -> np.ndarray:
     return np.maximum(conv, 0.0) * g.dp * g.dq
 
 
-def _factored_condition(
-    kept: ModeState,
-    measured: ModeState,
-    det: DetectorParams,
-    k: int,
-) -> ConditionalEnsemble:
-    """Conditional ensemble of the kept mode for pixel k of the measured mode."""
-    g = measured.grid
-    lo, hi = det.bin_interval(k)
-    if det.sample_aligned(g):
-        p = g.momentum_points
-        nodes = p[(p >= lo) & (p < hi)]
-        node_measure = np.full(len(nodes), g.dp)
-    else:
-        nodes, node_measure = _gauss_legendre(lo, hi, _quad_nodes_per_bin(det, g))
-    comps = []
-    total = 0.0
-    for s, w_node in zip(nodes, node_measure):
-        raw = _factored_slice(kept, measured, float(s))
-        sq = float(np.sum(np.abs(raw) ** 2) * g.dq)
-        weight = sq * w_node
-        total += weight
-        if weight > 0.0:
-            comps.append((weight, ModeState(g, Rep.POSITION, raw / math.sqrt(sq))))
-    if total < ZERO_MASS_TOL:
-        raise ZeroMassBinError(f"bin k={k} carries probability {total:.3e}")
-    return ConditionalEnsemble(components=tuple(comps), total_probability=total)
-
-
-def _factored_bin_probability(
-    kept: ModeState, measured: ModeState, det: DetectorParams, k: int
-) -> float:
-    g = measured.grid
-    lo, hi = det.bin_interval(k)
-    if det.sample_aligned(g):
-        masses = _factored_sample_masses(kept, measured)
-        p = g.momentum_points
-        return float(np.sum(masses[(p >= lo) & (p < hi)]))
-    nodes, wts = _gauss_legendre(lo, hi, _quad_nodes_per_bin(det, g))
-    dens = [
-        float(np.sum(np.abs(_factored_slice(kept, measured, float(s))) ** 2) * g.dq)
-        for s in nodes
-    ]
-    return float(np.dot(wts, dens))
-
-
-def _factored_bin_distribution(
-    kept: ModeState, measured: ModeState, det: DetectorParams
+def outcome_distribution(
+    data: ModeState, ancilla: ModeState, det: DetectorParams
 ) -> dict[int, float]:
+    """Pixel distribution of the ancilla's momentum after CZ between data and ancilla.
+
+    This is the syndrome distribution of :func:`gkp_error_correct`, as an
+    ordered ``{k: probability}`` map over the pixels the outcome density
+    reaches, computed in O(n log n) on any grid without the two-mode state.
+    Sample regime: each momentum sample's mass goes to the pixel
+    ``det.bin_of`` assigns it.  Sub-grid regime: Gauss-Legendre quadrature of
+    the outcome density over each pixel, on the pixel range where the
+    sample-lattice density has mass.
+    """
+    if data.grid != ancilla.grid:
+        raise ValidationError("data and ancilla must live on the same grid")
+    kept = as_rep(data, Rep.POSITION)
+    measured = as_rep(ancilla, Rep.POSITION)
     g = measured.grid
-    if not det.sample_aligned(g):
-        raise ValidationError(
-            "the factored engine needs eta >= 2*dp to build a full outcome distribution"
-        )
-    masses = _factored_sample_masses(kept, measured)
+    n = g.n_points
     bins = det.bin_of(g.momentum_points)
-    out: dict[int, float] = {}
-    for k in np.unique(bins):
-        out[int(k)] = float(np.sum(masses[bins == k]))
-    return out
-
-
-def _resolve_engine(engine: str, n_points: int) -> str:
-    if engine == "auto":
-        return "two_mode" if n_points <= TWO_MODE_MAX_POINTS else "factored"
-    if engine not in ("two_mode", "factored"):
-        raise ValidationError(f"unknown engine {engine!r}")
-    return engine
+    coeffs = None
+    if g.is_self_dual:
+        masses = _circular_sample_masses(kept, measured)
+    else:
+        coeffs = _density_coefficients(kept, measured)
+        masses = g.dp * _density_on_lattice(coeffs, g.dq, np.zeros(1), g.dp, -(n // 2), n)[0]
+    if det.sample_aligned(g):
+        k_lo = int(bins[0])
+        probs = np.bincount(bins - k_lo, weights=masses)
+    else:
+        live = masses > ZERO_MASS_TOL * max(float(np.max(masses)), 1e-300)
+        if not np.any(live):
+            raise NumericalError("state carries no measurable momentum mass")
+        k_lo, k_hi = int(bins[live][0]), int(bins[live][-1])
+        if coeffs is None:
+            coeffs = _density_coefficients(kept, measured)
+        offsets, wts = _gauss_legendre(-det.eta, det.eta, _quad_nodes_per_bin(det, g))
+        dens = _density_on_lattice(coeffs, g.dq, offsets, 2.0 * det.eta, k_lo, k_hi - k_lo + 1)
+        probs = wts @ dens
+    return {k_lo + i: float(v) for i, v in enumerate(probs)}
 
 
 # ---------------------------------------------------------------------------
 # Fourier gadget
+
+# exp(-x) is exactly 0.0 in float64 for x > 745.2, so kernel terms beyond
+# this many widths vanish
+_KERNEL_REACH_WIDTHS = math.sqrt(2.0 * 746.0)
+_TARGET_BLOCK_ROWS = 256
 
 
 def fourier_gadget_target(psi: ModeState, sigma: float) -> ModeState:
@@ -249,9 +320,18 @@ def fourier_gadget_target(psi: ModeState, sigma: float) -> ModeState:
         ks = np.roll(kernel, -(g.n_points // 2))
         amp = np.fft.ifft(np.fft.fft(pos.amplitudes) * np.fft.fft(ks))
     else:
+        # banded: the dropped kernel entries underflow to exactly 0.0
         p = g.momentum_points
-        kernel = np.exp(-((p[:, None] - q[None, :]) ** 2) / (2.0 * sigma**2))
-        amp = kernel @ pos.amplitudes
+        reach = sigma * _KERNEL_REACH_WIDTHS
+        amp = np.zeros(g.n_points, dtype=np.complex128)
+        for lo in range(0, g.n_points, _TARGET_BLOCK_ROWS):
+            rows = p[lo : lo + _TARGET_BLOCK_ROWS]
+            j0 = int(np.searchsorted(q, rows[0] - reach, side="left"))
+            j1 = int(np.searchsorted(q, rows[-1] + reach, side="right"))
+            kernel = np.exp(-((rows[:, None] - q[None, j0:j1]) ** 2) / (2.0 * sigma**2))
+            band = pos.amplitudes[j0:j1]
+            # a real matrix times a complex vector skips BLAS in numpy
+            amp[lo : lo + _TARGET_BLOCK_ROWS] = kernel @ band.real + 1j * (kernel @ band.imag)
     return normalized(ModeState(g, Rep.MOMENTUM, amp))
 
 
@@ -260,7 +340,6 @@ def fourier_gadget(
     sigma: float,
     det: DetectorParams,
     postselect_k: int = 0,
-    engine: str = "auto",
     compute_fidelities: bool = True,
 ) -> GadgetReport:
     """Post-selected measurement-based Fourier transform.
@@ -273,21 +352,9 @@ def fourier_gadget(
     the conditional state carries an uncorrected outcome-dependent phase and
     is reported as-is.
     """
-    g = psi.grid
-    eng = _resolve_engine(engine, g.n_points)
     pos = as_rep(psi, Rep.POSITION)
-    ancilla = squeezed_momentum(sigma, g)
-    if eng == "two_mode":
-        st = apply_cz(tensor(pos, ancilla))
-        prob = bin_probabilities(st, 1, det, k_range=[postselect_k], warn_tail=False)[
-            postselect_k
-        ]
-        ens = project_bin(st, 1, postselect_k, det)
-    else:
-        _require_factorable(pos)
-        kept = as_rep(ancilla, Rep.POSITION)
-        prob = _factored_bin_probability(kept, pos, det, postselect_k)
-        ens = _factored_condition(kept, pos, det, postselect_k)
+    kept = as_rep(squeezed_momentum(sigma, pos.grid), Rep.POSITION)
+    ens = _condition(kept, pos, det, postselect_k)
     diagnostics: dict[str, float] = {
         "leading_order_probability": 2.0 * det.eta * sigma / SQRT_PI,
         "ensemble_purity": ens.purity(),
@@ -300,7 +367,7 @@ def fourier_gadget(
     return GadgetReport(
         outcome_k=postselect_k,
         outcome_value=det.bin_center(postselect_k),
-        success_probability=prob,
+        success_probability=ens.total_probability,
         output=ens,
         diagnostics=diagnostics,
     )
@@ -319,7 +386,6 @@ def gkp_error_correct(
     fixed_outcome_k: int | None = None,
     known_data_shift: tuple[float, float] | None = None,
     ancilla_state: ModeState | None = None,
-    engine: str = "auto",
 ) -> GadgetReport:
     """Measure q mod sqrt(pi) of the data mode through a GKP ancilla and shift it back.
 
@@ -336,37 +402,22 @@ def gkp_error_correct(
     corrected data mode; the measured mode is gone.
     """
     det.require_gkp_compatible()
-    g = data.grid
-    eng = _resolve_engine(engine, g.n_points)
     seq = np.random.SeedSequence(seed)
     noise_seed, outcome_seed = (int(s) for s in seq.generate_state(2))
 
-    ancilla = ancilla_state if ancilla_state is not None else gkp_zero(ancilla_params, g)
+    ancilla = ancilla_state if ancilla_state is not None else gkp_zero(ancilla_params, data.grid)
     ancilla, (u2, v2) = apply_shift_noise(ancilla, ancilla_noise, seed=noise_seed)
     data_pos = as_rep(data, Rep.POSITION)
     anc_pos = as_rep(ancilla, Rep.POSITION)
 
-    if eng == "two_mode":
-        st = apply_cz(tensor(data_pos, anc_pos))
-        probs = bin_probabilities(st, 2, det)
+    if fixed_outcome_k is not None:
+        k = fixed_outcome_k
     else:
-        _require_factorable(data_pos)
-        probs = _factored_bin_distribution(data_pos, anc_pos, det)
-
-    k = fixed_outcome_k if fixed_outcome_k is not None else sample_outcome(probs, outcome_seed)
-    if k not in probs:
-        probs[k] = (
-            _factored_bin_probability(data_pos, anc_pos, det, k)
-            if eng == "factored"
-            else bin_probabilities(st, 2, det, k_range=[k], warn_tail=False)[k]
-        )
+        k = sample_outcome(outcome_distribution(data_pos, anc_pos, det), outcome_seed)
     p_k = det.bin_center(k)
     correction = -centered_mod_sqrt_pi(p_k)
 
-    if eng == "two_mode":
-        raw = project_bin(st, 2, k, det)
-    else:
-        raw = _factored_condition(data_pos, anc_pos, det, k)
+    raw = _condition(data_pos, anc_pos, det, k)
     corrected = ConditionalEnsemble(
         components=tuple((w, displace_q(s, correction)) for w, s in raw.components),
         total_probability=raw.total_probability,
@@ -388,7 +439,7 @@ def gkp_error_correct(
     return GadgetReport(
         outcome_k=k,
         outcome_value=p_k,
-        success_probability=probs[k],
+        success_probability=corrected.total_probability,
         output=corrected,
         diagnostics=diagnostics,
     )
@@ -405,7 +456,6 @@ def error_corrected_fourier(
     det: DetectorParams,
     seed: int | None = None,
     fixed_outcome_k: int | None = None,
-    engine: str = "auto",
 ) -> GadgetReport:
     """Fourier gadget followed by GKP error correction in q.
 
@@ -421,10 +471,10 @@ def error_corrected_fourier(
     experiments can pin the correction outcome with ``fixed_outcome_k``.
     """
     g = psi.grid
-    fg_data = fourier_gadget(psi, sigma, det, postselect_k=0, engine=engine)
+    fg_data = fourier_gadget(psi, sigma, det, postselect_k=0)
     data1 = fg_data.output.principal_component()
 
-    fg_anc = fourier_gadget(gkp_plus(gkp, g), sigma, det, postselect_k=0, engine=engine)
+    fg_anc = fourier_gadget(gkp_plus(gkp, g), sigma, det, postselect_k=0)
     anc0 = fg_anc.output.principal_component()
 
     ec = gkp_error_correct(
@@ -435,7 +485,6 @@ def error_corrected_fourier(
         seed=seed,
         fixed_outcome_k=fixed_outcome_k,
         ancilla_state=anc0,
-        engine=engine,
     )
     success = (
         fg_data.success_probability * fg_anc.success_probability * ec.success_probability

@@ -17,6 +17,13 @@ evaluation regimes are supported and selected automatically:
 Both regimes discretize the same continuum projector, and they agree where
 their domains overlap; the sample regime is additionally an exact partition
 of grid samples.
+
+``bin_probabilities`` and ``project_bin`` act on a materialized
+``TwoModeState`` (n x n amplitudes).  The gadgets do not use them: their
+product-input engine in ``gadgets`` evaluates the same pixel rule and
+quadrature in O(n log n), with the grid FFT on self-dual grids and a chirp-z
+transform elsewhere.  This two-mode path is the brute-force oracle the tests
+compare that engine with.
 """
 
 from __future__ import annotations

@@ -99,7 +99,7 @@ def test_criterion_2_fourier_gadget_state():
     psi_big = vacuum(big)
     fids = []
     for s, e in ((0.1, 0.01), (0.05, 0.005), (0.025, 0.0025)):
-        r = fourier_gadget(psi_big, s, DetectorParams(eta=e), engine="factored")
+        r = fourier_gadget(psi_big, s, DetectorParams(eta=e))
         fids.append(r.diagnostics["fidelity_vs_ideal_fourier"])
     ok &= fids[0] < fids[1] < fids[2]
     assert report(
@@ -199,13 +199,10 @@ def test_criterion_7_error_correction_property():
     data = displace_q(clean, 0.2)
     pre = fidelity_pure(clean, data)
     # modal syndrome outcome, deterministic
-    from cviqp.gadgets import _factored_bin_distribution
-    from cviqp.quadgrid import as_rep
+    from cviqp.gadgets import outcome_distribution
 
     ancilla = gkp_zero(params, grid)
-    dist = _factored_bin_distribution(
-        as_rep(data, Rep.POSITION), as_rep(ancilla, Rep.POSITION), det
-    )
+    dist = outcome_distribution(data, ancilla, det)
     k_modal = max(dist, key=dist.get)
     rep = gkp_error_correct(
         data,
@@ -214,7 +211,6 @@ def test_criterion_7_error_correction_property():
         det,
         fixed_outcome_k=k_modal,
         known_data_shift=(0.2, 0.0),
-        engine="factored",
     )
     post = ensemble_fidelity(rep.output, clean)
     improves = post > pre and rep.diagnostics["threshold_held"] == 1.0
@@ -224,9 +220,7 @@ def test_criterion_7_error_correction_property():
     clean25 = gkp_plus(params25, grid)
     data14 = displace_q(clean25, 1.4)
     anc25 = gkp_zero(params25, grid)
-    dist14 = _factored_bin_distribution(
-        as_rep(data14, Rep.POSITION), as_rep(anc25, Rep.POSITION), det
-    )
+    dist14 = outcome_distribution(data14, anc25, det)
     detected = 0
     for seed in range(1000):
         k = sample_outcome(dist14, seed)

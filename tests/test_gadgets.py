@@ -12,9 +12,16 @@ from cviqp.gadgets import (
     fourier_gadget,
     fourier_gadget_target,
     gkp_error_correct,
+    outcome_distribution,
 )
-from cviqp.gates import displace_p, displace_q
-from cviqp.homodyne import DetectorParams, ensemble_fidelity
+from cviqp.gates import apply_cz, displace_p, displace_q, tensor
+from cviqp.homodyne import (
+    DetectorParams,
+    bin_probabilities,
+    ensemble_fidelity,
+    project_bin,
+    sample_outcome,
+)
 from cviqp.quadgrid import (
     ModeState,
     Rep,
@@ -23,11 +30,14 @@ from cviqp.quadgrid import (
     normalized,
     self_dual_grid,
 )
-from cviqp.states import GkpParams, gkp_one, gkp_plus, gkp_zero
+from cviqp.states import GkpParams, gkp_one, gkp_plus, gkp_zero, squeezed_momentum
 
 from conftest import random_smooth_state
 
 SQRT_PI = math.sqrt(math.pi)
+
+# the two-mode oracle's grids: one self-dual, one not
+ORACLE_GRIDS = {"self_dual": self_dual_grid(1024), "general": make_grid(1024, 64.0)}
 
 
 def vacuum(grid):
@@ -130,8 +140,8 @@ class TestFourierGadget:
     def test_fidelity_improves_with_better_resources(self):
         grid = self_dual_grid(65536)
         psi = vacuum(grid)
-        rep_a = fourier_gadget(psi, 0.1, DetectorParams(eta=0.01), engine="factored")
-        rep_b = fourier_gadget(psi, 0.05, DetectorParams(eta=0.005), engine="factored")
+        rep_a = fourier_gadget(psi, 0.1, DetectorParams(eta=0.01))
+        rep_b = fourier_gadget(psi, 0.05, DetectorParams(eta=0.005))
         assert (
             rep_b.diagnostics["fidelity_vs_ideal_fourier"]
             > rep_a.diagnostics["fidelity_vs_ideal_fourier"]
@@ -151,28 +161,32 @@ class TestFourierGadget:
         assert devs[1] / devs[0] < 0.30
         assert devs[2] / devs[1] < 0.30
 
-    def test_engines_agree_sample_aligned(self):
-        grid = self_dual_grid(1024)
+    @pytest.mark.parametrize("grid_name", sorted(ORACLE_GRIDS))
+    @pytest.mark.parametrize("eta", [0.35, 0.01], ids=["sample", "sub_grid"])
+    def test_matches_two_mode_oracle(self, grid_name, eta):
+        grid = ORACLE_GRIDS[grid_name]
         psi = random_smooth_state(grid, seed=8)
-        det = DetectorParams(eta=0.35)
-        rep_two = fourier_gadget(psi, 0.4, det, engine="two_mode")
-        rep_fac = fourier_gadget(psi, 0.4, det, engine="factored")
-        assert rep_fac.success_probability == pytest.approx(rep_two.success_probability, abs=1e-13)
-        for (wa, sa), (wb, sb) in zip(rep_two.output.components, rep_fac.output.components):
+        det = DetectorParams(eta=eta)
+        assert det.sample_aligned(grid) == (eta == 0.35)
+        rep = fourier_gadget(psi, 0.4, det, compute_fidelities=False)
+        st = apply_cz(tensor(psi, squeezed_momentum(0.4, grid)))
+        prob = bin_probabilities(st, 1, det, k_range=[0], warn_tail=False)[0]
+        oracle = project_bin(st, 1, 0, det)
+        assert abs(rep.success_probability - prob) <= min(1e-13, 1e-12 * prob)
+        assert rep.success_probability == rep.output.total_probability
+        assert len(rep.output.components) == len(oracle.components)
+        for (wa, sa), (wb, sb) in zip(oracle.components, rep.output.components):
             assert wa == pytest.approx(wb, abs=1e-13)
             assert np.max(np.abs(sa.amplitudes - sb.amplitudes)) < 1e-12
 
-    def test_engines_agree_sub_grid(self):
-        grid = self_dual_grid(1024)
-        psi = random_smooth_state(grid, seed=9)
-        det = DetectorParams(eta=0.01)
-        rep_two = fourier_gadget(psi, 0.4, det, engine="two_mode")
-        rep_fac = fourier_gadget(psi, 0.4, det, engine="factored")
-        assert rep_fac.success_probability == pytest.approx(rep_two.success_probability, rel=1e-12)
-
-    def test_factored_needs_self_dual(self, grid_small):
-        with pytest.raises(ValidationError):
-            fourier_gadget(random_smooth_state(grid_small, seed=10), 1.0, DetectorParams(eta=0.5), engine="factored")
+    def test_runs_on_large_general_grid(self):
+        grid = make_grid(8192, 170.0)
+        assert not grid.is_self_dual
+        rep = fourier_gadget(vacuum(grid), 0.2, DetectorParams(eta=0.02))
+        assert rep.success_probability == rep.output.total_probability
+        lead = rep.diagnostics["leading_order_probability"]
+        assert rep.success_probability == pytest.approx(lead, rel=0.05)
+        assert rep.diagnostics["fidelity_vs_finite_squeezing_target"] > 0.999
 
     def test_target_builder_matches_direct_integration(self, grid_small):
         # dense-kernel route vs the library construction on a non-self-dual grid
@@ -234,15 +248,54 @@ class TestGkpErrorCorrect:
         )
         assert rep.diagnostics["threshold_held"] == 0.0
 
-    def test_engines_agree(self):
-        grid = self_dual_grid(4096)
-        params = GkpParams.tied(0.25)
-        det = DetectorParams(eta=SQRT_PI / 4)
+    @pytest.mark.parametrize("grid_name", sorted(ORACLE_GRIDS))
+    @pytest.mark.parametrize("m", [4, 12], ids=["sample", "sub_grid"])
+    def test_matches_two_mode_oracle(self, grid_name, m):
+        grid = ORACLE_GRIDS[grid_name]
+        params = GkpParams.tied(0.35)
+        det = DetectorParams(eta=SQRT_PI / m)
+        assert det.sample_aligned(grid) == (m == 4)
         data = displace_q(gkp_plus(params, grid), 0.2)
-        rep_two = gkp_error_correct(data, params, ShiftNoise.none(), det, seed=7, engine="two_mode")
-        rep_fac = gkp_error_correct(data, params, ShiftNoise.none(), det, seed=7, engine="factored")
-        assert rep_two.outcome_k == rep_fac.outcome_k
-        assert rep_two.success_probability == pytest.approx(rep_fac.success_probability, abs=1e-13)
+        anc = gkp_zero(params, grid)
+        rep = gkp_error_correct(data, params, ShiftNoise.none(), det, seed=7)
+        st = apply_cz(tensor(data, anc))
+        dist = outcome_distribution(data, anc, det)
+        if det.sample_aligned(grid):
+            oracle_dist = bin_probabilities(st, 2, det)
+            _, outcome_seed = np.random.SeedSequence(7).generate_state(2)
+            assert rep.outcome_k == sample_outcome(oracle_dist, int(outcome_seed))
+            assert set(dist) == set(oracle_dist)
+        else:
+            # the sub-grid oracle costs ~60 ms a pixel: check the central ones
+            ks = range(rep.outcome_k - 5, rep.outcome_k + 6)
+            oracle_dist = bin_probabilities(st, 2, det, k_range=ks, warn_tail=False)
+        assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+        for k, p in oracle_dist.items():
+            assert abs(dist[k] - p) <= 1e-12
+
+        oracle = project_bin(st, 2, rep.outcome_k, det)
+        assert rep.success_probability == pytest.approx(oracle.total_probability, abs=1e-13)
+        correction = rep.diagnostics["applied_correction"]
+        assert len(rep.output.components) == len(oracle.components)
+        for (wa, sa), (wb, sb) in zip(oracle.components, rep.output.components):
+            assert wa == pytest.approx(wb, abs=1e-13)
+            shifted = displace_q(sa, correction)
+            assert np.max(np.abs(shifted.amplitudes - sb.amplitudes)) < 1e-12
+
+    def test_success_probability_is_ensemble_mass(self, gc_grid):
+        # one pixel rule: the distribution, the conditioning and the reported
+        # probability assign edge samples to the same pixel
+        params = GkpParams.tied(0.2)
+        det = DetectorParams(eta=SQRT_PI / 8)
+        data = displace_q(gkp_plus(params, gc_grid), 0.2)
+        dist = outcome_distribution(data, gkp_zero(params, gc_grid), det)
+        ks = [k for k, p in dist.items() if p > 1e-6]
+        assert {8, -33} <= set(ks)
+        for k in ks:
+            rep = gkp_error_correct(data, params, ShiftNoise.none(), det, fixed_outcome_k=k)
+            p = rep.success_probability
+            assert p == pytest.approx(rep.output.total_probability, rel=1e-12)
+            assert p == pytest.approx(dist[k], rel=1e-9)
 
     def test_noise_replacement(self):
         # data position noise (std 0.3) is replaced by ancilla-plus-resolution
@@ -267,7 +320,6 @@ class TestGkpErrorCorrect:
                 det,
                 seed=trial,
                 known_data_shift=(u1, 0.0),
-                engine="factored",
             )
             if rep.diagnostics["threshold_held"] > 0.5:
                 total += 1
@@ -327,7 +379,7 @@ class TestErrorCorrectedFourier:
         params_b = GkpParams.tied(0.1)
         rep_b = error_corrected_fourier(
             gkp_plus(params_b, grid_b), params_b, 0.03, DetectorParams(eta=SQRT_PI / 64),
-            fixed_outcome_k=0, engine="factored",
+            fixed_outcome_k=0,
         )
         fid_a = rep_a.diagnostics["fidelity_vs_ideal_fourier"]
         fid_b = rep_b.diagnostics["fidelity_vs_ideal_fourier"]
