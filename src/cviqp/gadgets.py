@@ -17,8 +17,10 @@ kept(q) * meas_tilde(s - q), with meas_tilde the momentum transform of the
 measured mode, so slices and the full outcome distribution cost O(n log n)
 and no n x n array is built.  On self-dual grids (dq == dp) the transform is
 the grid FFT; on any other grid it is a chirp-z transform (Bluestein's
-algorithm).  The materialized two-mode path of the homodyne module computes
-the same numbers and serves as the brute-force oracle in the tests.
+algorithm).  The conditional ensemble is built as one array of rows, and
+the GKP correction shifts those rows in place with one batched displacement.
+The materialized two-mode path of the homodyne module computes the same
+numbers and serves as the brute-force oracle in the tests.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .quadgrid import (
     normalized,
     to_momentum,
 )
-from .gates import apply_fourier, displace_p, displace_q
+from .gates import _shift_rows, apply_fourier, displace_p, displace_q
 from .states import GkpParams, gkp_plus, gkp_zero, squeezed_momentum
 
 SQRT_PI = math.sqrt(math.pi)
@@ -188,12 +190,13 @@ def _slices(measured: ModeState, s_values: np.ndarray) -> Iterator[np.ndarray]:
 
 def _condition(
     kept: ModeState, measured: ModeState, det: DetectorParams, k: int
-) -> ConditionalEnsemble:
-    """Conditional ensemble of the kept mode for pixel k of the measured mode after CZ.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Weights, position rows and total probability of the kept mode's ensemble
+    for pixel k of the measured mode after CZ, as writable arrays.
 
-    Sample regime: one component per grid sample that ``det.bin_of`` assigns
-    to k, the rule :func:`outcome_distribution` uses too.  Sub-grid regime:
-    one component per Gauss-Legendre node inside the pixel.
+    Sample regime: one row per grid sample that ``det.bin_of`` assigns to k,
+    the rule :func:`outcome_distribution` uses too.  Sub-grid regime: one row
+    per Gauss-Legendre node inside the pixel.
     """
     g = measured.grid
     if det.sample_aligned(g):
@@ -203,18 +206,22 @@ def _condition(
     else:
         lo, hi = det.bin_interval(k)
         nodes, node_measure = _gauss_legendre(lo, hi, _quad_nodes_per_bin(det, g))
-    comps = []
+    weights = np.empty(len(nodes))
+    rows = np.empty((len(nodes), g.n_points), dtype=np.complex128)
+    m = 0
     total = 0.0
     for w_node, tilde in zip(node_measure.tolist(), _slices(measured, nodes)):
-        raw = kept.amplitudes * tilde
-        sq = float(np.vdot(raw, raw).real * g.dq)
+        row = np.multiply(kept.amplitudes, tilde, out=rows[m])
+        sq = float(np.vdot(row, row).real * g.dq)
         weight = sq * w_node
         total += weight
         if weight > 0.0:
-            comps.append((weight, ModeState(g, Rep.POSITION, raw / math.sqrt(sq))))
+            row /= math.sqrt(sq)
+            weights[m] = weight
+            m += 1
     if total < ZERO_MASS_TOL:
         raise ZeroMassBinError(f"bin k={k} carries probability {total:.3e}")
-    return ConditionalEnsemble(components=tuple(comps), total_probability=total)
+    return weights[:m], rows[:m], total
 
 
 def _density_coefficients(kept: ModeState, measured: ModeState) -> np.ndarray:
@@ -354,7 +361,7 @@ def fourier_gadget(
     """
     pos = as_rep(psi, Rep.POSITION)
     kept = as_rep(squeezed_momentum(sigma, pos.grid), Rep.POSITION)
-    ens = _condition(kept, pos, det, postselect_k)
+    ens = ConditionalEnsemble(pos.grid, Rep.POSITION, *_condition(kept, pos, det, postselect_k))
     diagnostics: dict[str, float] = {
         "leading_order_probability": 2.0 * det.eta * sigma / SQRT_PI,
         "ensemble_purity": ens.purity(),
@@ -417,11 +424,9 @@ def gkp_error_correct(
     p_k = det.bin_center(k)
     correction = -centered_mod_sqrt_pi(p_k)
 
-    raw = _condition(data_pos, anc_pos, det, k)
-    corrected = ConditionalEnsemble(
-        components=tuple((w, displace_q(s, correction)) for w, s in raw.components),
-        total_probability=raw.total_probability,
-    )
+    weights, rows, total = _condition(data_pos, anc_pos, det, k)
+    _shift_rows(rows, data_pos.grid, Rep.POSITION, correction)
+    corrected = ConditionalEnsemble(data_pos.grid, Rep.POSITION, weights, rows, total)
 
     diagnostics: dict[str, float] = {
         "measured_pk": p_k,

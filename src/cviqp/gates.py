@@ -24,8 +24,10 @@ import numpy as np
 from .errors import RepresentationError, ValidationError
 from .quadgrid import (
     ModeState,
+    QuadratureGrid,
     Rep,
     TwoModeState,
+    _transform,
     as_rep,
     to_momentum,
     to_position,
@@ -33,6 +35,7 @@ from .quadgrid import (
 )
 
 _CZ_BLOCK_ROWS = 512  # bounds the transient phase-matrix allocation
+_SHIFT_BLOCK_POINTS = 1 << 18  # bounds the transient transform buffers of a shift
 
 
 def apply_phase_function(psi: ModeState, f: Callable[[np.ndarray], np.ndarray]) -> ModeState:
@@ -108,26 +111,38 @@ def apply_fourier(psi: ModeState) -> ModeState:
 
 def displace_q(psi: ModeState, u: float) -> ModeState:
     """Position shift exp(-i u p): psi(q) -> psi(q - u), exact on the torus."""
-    _check_shift(psi, u)
-    original_rep = psi.rep
-    phi = as_rep(psi, Rep.MOMENTUM)
-    shifted = ModeState(
-        phi.grid, Rep.MOMENTUM, np.exp(-1j * u * phi.grid.momentum_points) * phi.amplitudes
-    )
-    return as_rep(shifted, original_rep)
+    rows = np.array(psi.amplitudes[np.newaxis])
+    _shift_rows(rows, psi.grid, psi.rep, u)
+    return ModeState(psi.grid, psi.rep, rows[0])
+
+
+def _shift_rows(rows: np.ndarray, grid: QuadratureGrid, rep: Rep, u: float) -> None:
+    """Apply exp(-i u p) in place to each row of ``rows``, wavefunctions in ``rep``.
+
+    Position rows go to momentum and back a few at a time, bounding the copies.
+    """
+    _check_shift(grid, u)
+    kick = np.exp(-1j * u * grid.momentum_points)
+    if rep is Rep.MOMENTUM:
+        np.multiply(kick, rows, out=rows)
+        return
+    block = max(1, _SHIFT_BLOCK_POINTS // grid.n_points)
+    for lo in range(0, len(rows), block):
+        phi = _transform(rows[lo : lo + block], grid, Rep.MOMENTUM)
+        rows[lo : lo + block] = _transform(kick * phi, grid, Rep.POSITION)
 
 
 def displace_p(psi: ModeState, v: float) -> ModeState:
     """Momentum kick exp(-i v q): multiplies the position wavefunction by exp(-i v q)."""
-    _check_shift(psi, v)
+    _check_shift(psi.grid, v)
     original_rep = psi.rep
     pos = as_rep(psi, Rep.POSITION)
     kicked = ModeState(pos.grid, Rep.POSITION, np.exp(-1j * v * pos.grid.points) * pos.amplitudes)
     return as_rep(kicked, original_rep)
 
 
-def _check_shift(psi: ModeState, shift: float) -> None:
-    limit = psi.grid.extent / 4.0
+def _check_shift(grid: QuadratureGrid, shift: float) -> None:
+    limit = grid.extent / 4.0
     if abs(shift) >= limit:
         raise ValidationError(
             f"shift {shift} exceeds a quarter of the grid extent ({limit}); "

@@ -16,7 +16,9 @@ evaluation regimes are supported and selected automatically:
 
 Both regimes discretize the same continuum projector, and they agree where
 their domains overlap; the sample regime is additionally an exact partition
-of grid samples.
+of grid samples.  Conditioning on a pixel leaves the other mode in a mixture
+with one pure component per sample or node, held by ``ConditionalEnsemble``
+as a weight vector and one array with a normalized wavefunction per row.
 
 ``bin_probabilities`` and ``project_bin`` act on a materialized
 ``TwoModeState`` (n x n amplitudes).  The gadgets do not use them: their
@@ -35,14 +37,13 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, ZeroMassBinError
+from .errors import GridMismatchError, NumericalError, ValidationError, ZeroMassBinError
 from .quadgrid import (
     ModeState,
     QuadratureGrid,
     Rep,
     TwoModeState,
     as_rep,
-    fidelity_pure,
     normalized,
     transform_mode,
 )
@@ -101,50 +102,52 @@ class DetectorParams:
 
 @dataclass(frozen=True)
 class ConditionalEnsemble:
-    """Weighted pure components of a post-measurement state on the unmeasured mode.
+    """Mixed post-measurement state of the unmeasured mode, as weighted pure rows.
 
-    Weights sum to the probability of the conditioning outcome; each component
-    is normalized.  One component per momentum sample (or quadrature node)
-    inside the measured bin.
+    Row i of ``components`` is a normalized wavefunction in ``rep`` on
+    ``grid``: the state left by one momentum sample (or quadrature node)
+    inside the measured pixel, and ``weights[i]`` is its probability mass.
+    ``total_probability`` is the probability of the pixel, the sum of the
+    weights.  Both arrays are read-only.
     """
 
-    components: tuple[tuple[float, ModeState], ...]
+    grid: QuadratureGrid
+    rep: Rep
+    weights: np.ndarray
+    components: np.ndarray
     total_probability: float
 
     def __post_init__(self) -> None:
-        if not self.components:
+        w = np.asarray(self.weights, dtype=np.float64)
+        c = np.asarray(self.components, dtype=np.complex128)
+        if w.ndim != 1 or len(w) == 0:
             raise ValidationError("ensemble must have at least one component")
+        if c.shape != (len(w), self.grid.n_points):
+            raise ValidationError(f"components have shape {c.shape}, expected ({len(w)}, n_points)")
+        w.flags.writeable = False
+        c.flags.writeable = False
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "components", c)
 
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for w, _ in self.components])
-
-    @property
-    def states(self) -> tuple[ModeState, ...]:
-        return tuple(s for _, s in self.components)
+    def _overlaps(self) -> np.ndarray:
+        """Unscaled Gram matrix sum_j conj(a_ij) a_kj of the rows."""
+        return np.conj(self.components) @ self.components.T
 
     def principal_component(self) -> ModeState:
         """Top eigenvector of the ensemble density operator (via the small Gram matrix)."""
         w = self.weights
-        states = self.states
-        m = len(states)
-        if m == 1:
-            return states[0]
-        spacing = states[0].spacing
-        vecs = np.stack([s.amplitudes for s in states])
-        gram = (np.sqrt(np.outer(w, w))) * (np.conj(vecs) @ vecs.T) * spacing
+        if len(w) == 1:
+            return ModeState(self.grid, self.rep, self.components[0])
+        spacing = self.grid.rep_spacing(self.rep)
+        gram = (np.sqrt(np.outer(w, w))) * self._overlaps() * spacing
         evals, evecs = np.linalg.eigh(gram)
         coeff = np.sqrt(w) * evecs[:, -1]
-        amp = coeff @ vecs
-        return normalized(ModeState(states[0].grid, states[0].rep, amp))
+        return normalized(ModeState(self.grid, self.rep, coeff @ self.components))
 
     def purity(self) -> float:
         """Tr[rho^2] / (Tr rho)^2 of the ensemble density operator."""
         w = self.weights
-        states = self.states
-        spacing = states[0].spacing
-        vecs = np.stack([s.amplitudes for s in states])
-        overlaps = np.abs((np.conj(vecs) @ vecs.T) * spacing) ** 2
+        overlaps = np.abs(self._overlaps() * self.grid.rep_spacing(self.rep)) ** 2
         return float(w @ overlaps @ w / np.sum(w) ** 2)
 
 
@@ -188,20 +191,6 @@ def _check_mode(mode: int) -> None:
         raise ValidationError(f"mode must be 1 or 2, got {mode}")
 
 
-def _auto_k_range(
-    state: TwoModeState, mode: int, det: DetectorParams
-) -> list[int]:
-    """Bins intersecting the region where the sampled momentum marginal has mass."""
-    mass = _measured_axis_density(state, mode)
-    p = state.grid.momentum_points
-    live = mass > ZERO_MASS_TOL * max(np.max(mass), 1e-300)
-    if not np.any(live):
-        raise NumericalError("state carries no measurable momentum mass")
-    lo = int(det.bin_of(float(p[live][0])))
-    hi = int(det.bin_of(float(p[live][-1])))
-    return list(range(lo, hi + 1))
-
-
 def bin_probabilities(
     state: TwoModeState,
     mode: int,
@@ -219,42 +208,36 @@ def bin_probabilities(
     """
     _check_mode(mode)
     ks = sorted(k_range) if k_range is not None else None
+    mass = None
+    out: dict[int, float] = {}
     if det.sample_aligned(state.grid):
         mass = _measured_axis_density(state, mode)
         sample_bins = det.bin_of(state.grid.momentum_points)
-        out: dict[int, float] = {}
-        if ks is None:
-            for k in np.unique(sample_bins):
-                out[int(k)] = float(np.sum(mass[sample_bins == k]))
-            covered = sum(out.values())
-            total = float(np.sum(mass))
-        else:
-            for k in ks:
-                out[k] = float(np.sum(mass[sample_bins == k]))
-            covered = sum(out.values())
-            total = float(np.sum(mass))
+        for k in np.unique(sample_bins) if ks is None else ks:
+            out[int(k)] = float(np.sum(mass[sample_bins == k]))
     else:
         if ks is None:
-            ks = _auto_k_range(state, mode, det)
+            # the pixels meeting the region where the sampled momentum marginal lives
+            mass = _measured_axis_density(state, mode)
+            p = state.grid.momentum_points[mass > ZERO_MASS_TOL * max(np.max(mass), 1e-300)]
+            if len(p) == 0:
+                raise NumericalError("state carries no measurable momentum mass")
+            ks = range(int(det.bin_of(float(p[0]))), int(det.bin_of(float(p[-1]))) + 1)
         n_nodes = _quad_nodes_per_bin(det, state.grid)
         other = 2 if mode == 1 else 1
         other_spacing = state.grid.rep_spacing(state.reps[other - 1])
-        out = {}
         for k in ks:
             lo, hi = det.bin_interval(k)
             nodes, wts = _gauss_legendre(lo, hi, n_nodes)
             slices = _position_slices(state, mode, nodes)
             density = np.sum(np.abs(slices) ** 2, axis=1) * other_spacing
             out[k] = float(np.dot(wts, density))
-        covered = sum(out.values())
-        total = float(np.sum(_measured_axis_density(state, mode)))
-    tail = total - covered
-    if warn_tail and k_range is not None and tail > TAIL_MASS_DIAGNOSTIC:
-        warnings.warn(
-            f"requested bins miss {tail:.3e} probability mass",
-            TailMassWarning,
-            stacklevel=2,
-        )
+    if warn_tail and k_range is not None:
+        if mass is None:
+            mass = _measured_axis_density(state, mode)
+        tail = float(np.sum(mass)) - sum(out.values())
+        if tail > TAIL_MASS_DIAGNOSTIC:
+            warnings.warn(f"requested bins miss {tail:.3e} probability mass", TailMassWarning, stacklevel=2)
     return out
 
 
@@ -290,17 +273,22 @@ def project_bin(
             f"bin k={k} carries probability {total:.3e} (< {ZERO_MASS_TOL:.0e})"
         )
     keep = weights > 0.0
-    components = tuple(
-        (float(w), ModeState(state.grid, other_rep, row / math.sqrt(sn)))
-        for w, sn, row in zip(weights[keep], sq_norms[keep], slices[keep])
-    )
-    return ConditionalEnsemble(components=components, total_probability=total)
+    rows = slices[keep]
+    rows /= np.sqrt(sq_norms[keep])[:, np.newaxis]
+    return ConditionalEnsemble(state.grid, other_rep, weights[keep], rows, total)
 
 
 def ensemble_fidelity(ensemble: ConditionalEnsemble, target: ModeState) -> float:
-    """<target| rho |target> / Tr rho for the rank-structured ensemble."""
+    """<target| rho |target> / Tr rho: the weighted mean over the rows of
+    :func:`fidelity_pure` with ``target`` (each row renormalized likewise)."""
+    if target.grid != ensemble.grid:
+        raise GridMismatchError("states live on different grids")
+    t = normalized(as_rep(target, ensemble.rep))
+    rows = ensemble.components
+    sq_norms = np.sum(np.abs(rows) ** 2, axis=1) * t.spacing
+    overlaps = rows @ np.conj(t.amplitudes) * t.spacing
+    fids = np.minimum(np.abs(overlaps) ** 2 / sq_norms, 1.0)
     w = ensemble.weights
-    fids = np.array([fidelity_pure(target, s) for s in ensemble.states])
     return float(np.dot(w, fids) / np.sum(w))
 
 

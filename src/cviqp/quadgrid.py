@@ -213,41 +213,38 @@ def inner_product(a: ModeState, b: ModeState) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes) * a.spacing)
 
 
-# Alternating signs realize the half-extent offsets of both grids:
-# exp(-i p_k q_j) = (-i)^n (-1)^j (-1)^k exp(-2i pi j k / n).
-def _alternating(n: int) -> np.ndarray:
-    s = np.ones(n)
-    s[1::2] = -1.0
-    return s
+def _transform(amplitudes: np.ndarray, grid: QuadratureGrid, rep: Rep, axis: int = -1) -> np.ndarray:
+    """Amplitudes transformed along ``axis`` into ``rep`` from the other representation.
 
-
-def _fft_phase(n: int) -> complex:
-    return complex((-1j) ** (n % 4))
+    To momentum: phi(p_k) = (2*pi)^(-1/2) * sum_j exp(-i p_k q_j) psi(q_j) * dq,
+    evaluated exactly by an FFT; to position: its inverse (the +i kernel).
+    The half-extent offsets of both grids become alternating signs,
+    exp(-i p_k q_j) = (-i)^n (-1)^j (-1)^k exp(-2i pi j k / n).  Every other
+    axis is a batch axis.
+    """
+    n = grid.n_points
+    shape = [1] * np.ndim(amplitudes)
+    shape[axis] = n
+    s = np.where(np.arange(n) % 2, -1.0, 1.0).reshape(shape)
+    phase = complex((-1j) ** (n % 4))
+    if rep is Rep.MOMENTUM:
+        return phase * grid.dq / np.sqrt(2.0 * np.pi) * s * np.fft.fft(s * amplitudes, axis=axis)
+    scale = np.conj(phase) * grid.dp * n / np.sqrt(2.0 * np.pi)
+    return scale * s * np.fft.ifft(s * amplitudes, axis=axis)
 
 
 def to_momentum(psi: ModeState) -> ModeState:
-    """Unitary transform to the momentum representation.
-
-    phi(p_k) = (2*pi)^(-1/2) * sum_j exp(-i p_k q_j) psi(q_j) * dq, evaluated
-    exactly by an FFT with alternating-sign factors.
-    """
+    """Unitary transform to the momentum representation (see :func:`_transform`)."""
     if psi.rep is not Rep.POSITION:
         raise RepresentationError("to_momentum expects a position-representation state")
-    g = psi.grid
-    s = _alternating(g.n_points)
-    out = _fft_phase(g.n_points) * g.dq / np.sqrt(2.0 * np.pi) * s * np.fft.fft(s * psi.amplitudes)
-    return ModeState(g, Rep.MOMENTUM, out)
+    return ModeState(psi.grid, Rep.MOMENTUM, _transform(psi.amplitudes, psi.grid, Rep.MOMENTUM))
 
 
 def to_position(phi: ModeState) -> ModeState:
     """Inverse of :func:`to_momentum` (the +i kernel transform)."""
     if phi.rep is not Rep.MOMENTUM:
         raise RepresentationError("to_position expects a momentum-representation state")
-    g = phi.grid
-    s = _alternating(g.n_points)
-    scale = np.conj(_fft_phase(g.n_points)) * g.dp * g.n_points / np.sqrt(2.0 * np.pi)
-    out = scale * s * np.fft.ifft(s * phi.amplitudes)
-    return ModeState(g, Rep.POSITION, out)
+    return ModeState(phi.grid, Rep.POSITION, _transform(phi.amplitudes, phi.grid, Rep.POSITION))
 
 
 def as_rep(state: ModeState, rep: Rep) -> ModeState:
@@ -263,20 +260,10 @@ def transform_mode(state: TwoModeState, mode: int, rep: Rep) -> TwoModeState:
     idx = mode - 1
     if state.reps[idx] is rep:
         return state
-    g = state.grid
-    n = g.n_points
-    s = _alternating(n)
-    axis = idx
-    shape = (n, 1) if axis == 0 else (1, n)
-    sg = s.reshape(shape)
-    if rep is Rep.MOMENTUM:
-        out = _fft_phase(n) * g.dq / np.sqrt(2.0 * np.pi) * sg * np.fft.fft(sg * state.amplitudes, axis=axis)
-    else:
-        scale = np.conj(_fft_phase(n)) * g.dp * n / np.sqrt(2.0 * np.pi)
-        out = scale * sg * np.fft.ifft(sg * state.amplitudes, axis=axis)
     reps = list(state.reps)
     reps[idx] = rep
-    return TwoModeState(g, (reps[0], reps[1]), out)
+    out = _transform(state.amplitudes, state.grid, rep, axis=idx)
+    return TwoModeState(state.grid, (reps[0], reps[1]), out)
 
 
 def fidelity_pure(a: ModeState, b: ModeState) -> float:

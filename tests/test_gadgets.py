@@ -6,6 +6,7 @@ import pytest
 from cviqp.errors import ValidationError
 from cviqp.gadgets import (
     ShiftNoise,
+    _condition,
     apply_shift_noise,
     centered_mod_sqrt_pi,
     error_corrected_fourier,
@@ -14,7 +15,7 @@ from cviqp.gadgets import (
     gkp_error_correct,
     outcome_distribution,
 )
-from cviqp.gates import apply_cz, displace_p, displace_q, tensor
+from cviqp.gates import apply_cz, apply_fourier, displace_p, displace_q, tensor
 from cviqp.homodyne import (
     DetectorParams,
     bin_probabilities,
@@ -35,6 +36,12 @@ from cviqp.states import GkpParams, gkp_one, gkp_plus, gkp_zero, squeezed_moment
 from conftest import random_smooth_state
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def _pairs(ens):
+    """(weight, ModeState) for each row of an ensemble."""
+    return [(w, ModeState(ens.grid, ens.rep, row)) for w, row in zip(ens.weights, ens.components)]
+
 
 # the two-mode oracle's grids: one self-dual, one not
 ORACLE_GRIDS = {"self_dual": self_dual_grid(1024), "general": make_grid(1024, 64.0)}
@@ -175,9 +182,22 @@ class TestFourierGadget:
         assert abs(rep.success_probability - prob) <= min(1e-13, 1e-12 * prob)
         assert rep.success_probability == rep.output.total_probability
         assert len(rep.output.components) == len(oracle.components)
-        for (wa, sa), (wb, sb) in zip(oracle.components, rep.output.components):
+        for (wa, sa), (wb, sb) in zip(_pairs(oracle), _pairs(rep.output)):
             assert wa == pytest.approx(wb, abs=1e-13)
             assert np.max(np.abs(sa.amplitudes - sb.amplitudes)) < 1e-12
+
+    @pytest.mark.parametrize("grid_name", sorted(ORACLE_GRIDS))
+    def test_ensemble_fidelity_is_the_weighted_mean_row_fidelity(self, grid_name):
+        grid = ORACLE_GRIDS[grid_name]
+        psi = random_smooth_state(grid, seed=8)
+        rep = fourier_gadget(psi, 0.4, DetectorParams(eta=0.01), compute_fidelities=False)
+        pairs = _pairs(rep.output)
+        assert len(pairs) > 1
+        targets = (apply_fourier(psi), fourier_gadget_target(psi, 0.4))
+        assert [t.rep for t in targets] == [Rep.POSITION, Rep.MOMENTUM]
+        for target in targets:
+            mean = sum(w * fidelity_pure(target, s) for w, s in pairs) / sum(w for w, _ in pairs)
+            assert ensemble_fidelity(rep.output, target) == pytest.approx(mean, rel=1e-14, abs=0)
 
     def test_runs_on_large_general_grid(self):
         grid = make_grid(8192, 170.0)
@@ -277,10 +297,27 @@ class TestGkpErrorCorrect:
         assert rep.success_probability == pytest.approx(oracle.total_probability, abs=1e-13)
         correction = rep.diagnostics["applied_correction"]
         assert len(rep.output.components) == len(oracle.components)
-        for (wa, sa), (wb, sb) in zip(oracle.components, rep.output.components):
+        for (wa, sa), (wb, sb) in zip(_pairs(oracle), _pairs(rep.output)):
             assert wa == pytest.approx(wb, abs=1e-13)
             shifted = displace_q(sa, correction)
             assert np.max(np.abs(shifted.amplitudes - sb.amplitudes)) < 1e-12
+
+    @pytest.mark.parametrize("grid_name", sorted(ORACLE_GRIDS))
+    @pytest.mark.parametrize("m", [4, 12], ids=["sample", "sub_grid"])
+    def test_rows_are_displace_q_of_the_uncorrected_rows(self, grid_name, m):
+        grid = ORACLE_GRIDS[grid_name]
+        params = GkpParams.tied(0.35)
+        det = DetectorParams(eta=SQRT_PI / m)
+        data = displace_q(gkp_plus(params, grid), 0.2)
+        rep = gkp_error_correct(data, params, ShiftNoise.none(), det, seed=7)
+        weights, rows, total = _condition(data, gkp_zero(params, grid), det, rep.outcome_k)
+        assert np.array_equal(rep.output.weights, weights)
+        assert rep.output.total_probability == total
+        assert rep.output.components.shape == rows.shape
+        correction = rep.diagnostics["applied_correction"]
+        for row, out in zip(rows, rep.output.components):
+            shifted = displace_q(ModeState(grid, Rep.POSITION, row), correction)
+            assert np.array_equal(shifted.amplitudes, out)
 
     def test_success_probability_is_ensemble_mass(self, gc_grid):
         # one pixel rule: the distribution, the conditioning and the reported

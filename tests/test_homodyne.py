@@ -128,7 +128,7 @@ class TestProjectBin:
         a = random_smooth_state(grid_small, seed=5)
         b = random_smooth_state(grid_small, seed=6)
         ens = project_bin(tensor(a, b), 1, 0, DetectorParams(eta=0.5))
-        for _w, comp in ens.components:
+        for comp in (ModeState(ens.grid, ens.rep, row) for row in ens.components):
             assert fidelity_pure(comp, b) == pytest.approx(1.0, abs=1e-10)
 
     def test_weights_sum_to_bin_probability(self, grid_small):
@@ -151,14 +151,14 @@ class TestProjectBin:
         a = random_smooth_state(grid_small, seed=9)
         b = random_smooth_state(grid_small, seed=10)
         ens = project_bin(tensor(a, b), 2, 0, DetectorParams(eta=0.5))
-        for _w, comp in ens.components:
+        for comp in (ModeState(ens.grid, ens.rep, row) for row in ens.components):
             assert fidelity_pure(comp, a) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestEnsembleFidelity:
     def test_single_component_equal_to_target(self, grid_small):
         psi = random_smooth_state(grid_small, seed=11)
-        ens = ConditionalEnsemble(components=((0.3, psi),), total_probability=0.3)
+        ens = ConditionalEnsemble(grid_small, psi.rep, [0.3], [psi.amplitudes], 0.3)
         assert ensemble_fidelity(ens, psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_equal_mixture_with_orthogonal_state(self, grid_small):
@@ -172,12 +172,32 @@ class TestEnsembleFidelity:
         orth = normalized(
             ModeState(grid_small, Rep.POSITION, other.amplitudes - coeff * psi.amplitudes)
         )
-        ens = ConditionalEnsemble(components=((0.5, psi), (0.5, orth)), total_probability=1.0)
+        rows = [psi.amplitudes, orth.amplitudes]
+        ens = ConditionalEnsemble(grid_small, Rep.POSITION, [0.5, 0.5], rows, 1.0)
         assert ensemble_fidelity(ens, psi) == pytest.approx(0.5, abs=1e-9)
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValidationError):
-            ConditionalEnsemble(components=(), total_probability=0.0)
+            ConditionalEnsemble(make_grid(256, 30.0), Rep.POSITION, [], np.zeros((0, 256)), 0.0)
+
+
+class TestConditionalEnsemble:
+    @pytest.mark.parametrize(
+        "n_weights, shape", [(1, (2, 256)), (2, (2, 255)), (2, (256,)), (2, (2, 256, 1))]
+    )
+    def test_components_shape_must_be_weights_by_grid_points(self, grid_small, n_weights, shape):
+        with pytest.raises(ValidationError):
+            ConditionalEnsemble(grid_small, Rep.POSITION, [0.5] * n_weights, np.ones(shape), 1.0)
+
+    def test_arrays_are_read_only(self, grid_small):
+        a = random_smooth_state(grid_small, seed=5)
+        b = random_smooth_state(grid_small, seed=6)
+        ens = project_bin(tensor(a, b), 1, 0, DetectorParams(eta=0.5))
+        assert ens.components.shape == (len(ens.weights), grid_small.n_points)
+        with pytest.raises(ValueError):
+            ens.weights[0] = 0.0
+        with pytest.raises(ValueError):
+            ens.components[0, 0] = 0.0
 
 
 class TestSampleOutcome:

@@ -7,13 +7,16 @@ from cviqp.errors import GridMismatchError, RepresentationError, ValidationError
 from cviqp.quadgrid import (
     ModeState,
     Rep,
+    TwoModeState,
     fidelity_pure,
     inner_product,
     make_grid,
     norm,
     normalized,
+    self_dual_grid,
     to_momentum,
     to_position,
+    transform_mode,
 )
 from cviqp.states import GkpParams, gkp_minus, gkp_one, gkp_plus, gkp_zero, squeezed_momentum
 
@@ -149,6 +152,27 @@ class TestTransforms:
     def test_parseval_random_states(self, grid_small, seed):
         psi = random_dense_state(grid_small, seed=seed)
         assert norm(to_momentum(psi)) == pytest.approx(norm(psi), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "grid", [make_grid(256, 30.0), self_dual_grid(256)], ids=["general", "self_dual"]
+    )
+    @pytest.mark.parametrize("mode", [1, 2])
+    def test_transform_mode_is_the_one_mode_transform_of_each_slice(self, grid, mode):
+        # one transform code path: the two-mode transform gives the same bits
+        # as the one-mode transform of each column (mode 1) or row (mode 2)
+        n = grid.n_points
+        rng = np.random.default_rng(mode)
+        amps = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        st = TwoModeState(grid, (Rep.POSITION, Rep.POSITION), amps)
+        mom = transform_mode(st, mode, Rep.MOMENTUM)
+        back = transform_mode(mom, mode, Rep.POSITION)
+        other_axis = 2 - mode
+        for j in range(n):
+            pos_j = np.take(amps, j, axis=other_axis)
+            mom_j = np.take(mom.amplitudes, j, axis=other_axis)
+            assert np.array_equal(to_momentum(ModeState(grid, Rep.POSITION, pos_j)).amplitudes, mom_j)
+            back_j = to_position(ModeState(grid, Rep.MOMENTUM, mom_j)).amplitudes
+            assert np.array_equal(back_j, np.take(back.amplitudes, j, axis=other_axis))
 
 
 class TestFidelityPure:

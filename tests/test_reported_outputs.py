@@ -1,0 +1,53 @@
+"""The README examples' CSVs against values recorded from an earlier version.
+
+A change that moves a reported number fails here and has to update the
+reference file in ``tests/data`` on purpose.  Integers and flags must match
+exactly; other numbers to 1e-10 relative, or 1e-15 absolute for the
+rounding-noise corrections of order 1e-16.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from cviqp.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+README_COMMANDS = {
+    "readme_fourier_gadget.csv": [
+        "fourier-gadget", "--sigma", "0.1", "--eta", "0.005,0.01,0.02",
+        "--grid-points", "4096", "--extent", "256",
+    ],
+    "readme_error_correct.csv": [
+        "error-correct", "--delta", "0.25", "--eta", "0.4431134627263791", "--u1", "0.2",
+        "--trials", "100", "--seed", "7", "--grid-points", "1024", "--extent", "64",
+    ],
+}
+
+
+# integer and flag columns; every other column holds floats
+EXACT_COLUMNS = {"trial", "seed", "outcome_k", "threshold_held", "miscorrected"}
+
+
+def _same_field(column: str, got: str, want: str) -> bool:
+    if column in EXACT_COLUMNS:
+        return got == want
+    g, w = float(got), float(want)
+    return abs(g - w) <= max(1e-10 * abs(w), 1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(README_COMMANDS))
+def test_readme_csv_matches_recorded_values(tmp_path, name):
+    out = tmp_path / name
+    assert main([*README_COMMANDS[name], "--out", str(out)]) == 0
+    got = out.read_text().splitlines()
+    want = (DATA / name).read_text().splitlines()
+    assert got[:2] == want[:2]  # configuration and column names
+    assert len(got) == len(want)
+    header = want[1].split(",")
+    for line_got, line_want in zip(got[2:], want[2:]):
+        fields = list(zip(header, line_got.split(","), line_want.split(",")))
+        assert len(fields) == len(header)
+        for column, g, w in fields:
+            assert _same_field(column, g, w), f"{column}: {g} != {w} in row {line_want}"
