@@ -6,6 +6,10 @@ post-selection budget that shrinks like 2^-n, the fault-tolerant Fourier
 error rate, multiplicative-approximation checks, and the composed
 post-selection probability of a circuit with l Fourier gadgets.  Everything
 that can underflow for large circuit sizes also comes in a log-space form.
+
+:func:`solve_ft_error` bisects the monotone error over sigma in [1e-4, 1]
+until the two ends are adjacent floats and returns the end whose error is
+nearer the target; a target outside that range raises :class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -13,10 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-from scipy.special import erfc
-
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -93,16 +94,29 @@ def fault_tolerant_fourier_error(sigma: float) -> float:
         raise ValidationError(f"sigma must be positive, got {sigma}")
     s1 = math.sqrt(2.0) * sigma
     s2 = math.sqrt(7.0) * sigma
-    a = float(erfc(SQRT_PI / (2.0 * math.sqrt(2.0) * s1)))
-    b = float(erfc(SQRT_PI / (2.0 * math.sqrt(2.0) * s2)))
+    a = math.erfc(SQRT_PI / (2.0 * math.sqrt(2.0) * s1))
+    b = math.erfc(SQRT_PI / (2.0 * math.sqrt(2.0) * s2))
     return a + b - a * b
 
 
-def solve_ft_error(target: float, lo: float = 1e-4, hi: float = 1.0) -> float:
+def solve_ft_error(target: float) -> float:
     """Squeezing parameter sigma at which the fault-tolerant Fourier error equals target."""
     if not 0.0 < target < 1.0:
         raise ValidationError(f"target error must be in (0, 1), got {target}")
-    return float(brentq(lambda s: fault_tolerant_fourier_error(s) - target, lo, hi, xtol=1e-14))
+    lo, hi = 1e-4, 1.0
+    err_lo, err_hi = fault_tolerant_fourier_error(lo), fault_tolerant_fourier_error(hi)
+    if not err_lo <= target <= err_hi:
+        raise NumericalError(
+            f"no sigma in [{lo:g}, {hi:g}] gives error {target:g}; errors span [{err_lo:.3g}, {err_hi:.3g}]"
+        )
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        err_mid = fault_tolerant_fourier_error(mid)
+        if err_mid < target:
+            lo, err_lo = mid, err_mid
+        else:
+            hi, err_hi = mid, err_mid
+    return lo if abs(err_lo - target) < abs(err_hi - target) else hi
 
 
 def check_multiplicative(p_true: float, p_sim: float, c: float) -> bool:

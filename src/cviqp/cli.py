@@ -44,20 +44,26 @@ from .states import GkpParams, gkp_minus, gkp_one, gkp_plus, gkp_zero, squeezed_
 _GKP_STATES = {"plus": gkp_plus, "minus": gkp_minus, "zero": gkp_zero, "one": gkp_one}
 
 
+def _parse_list(value, convert, scalar_types) -> list:
+    """A scalar, a comma-separated string or a list, converted item by item."""
+    if isinstance(value, scalar_types):
+        items = [value]
+    elif isinstance(value, str):
+        items = [tok for tok in value.split(",") if tok.strip()]
+    else:
+        items = value
+    try:
+        return [convert(item) for item in items]
+    except (TypeError, ValueError):
+        raise ValidationError(f"expected one {convert.__name__} or a comma list of them, got {value!r}") from None
+
+
 def _float_list(value) -> list[float]:
-    if isinstance(value, (int, float)):
-        return [float(value)]
-    if isinstance(value, str):
-        return [float(tok) for tok in value.split(",") if tok.strip()]
-    return [float(v) for v in value]
+    return _parse_list(value, float, (int, float))
 
 
 def _int_list(value) -> list[int]:
-    if isinstance(value, (int, np.integer)):
-        return [int(value)]
-    if isinstance(value, str):
-        return [int(tok) for tok in value.split(",") if tok.strip()]
-    return [int(v) for v in value]
+    return _parse_list(value, int, (int, np.integer))
 
 
 def _fmt(x) -> str:
@@ -310,10 +316,15 @@ def cmd_dv(args: argparse.Namespace) -> int:
                 "iqp mode needs an 'iqp' config entry: "
                 '{"n_qubits": int, "gates": [[[qubits], theta], ...], "postselect": [[qubit, outcome], ...]}'
             )
-        gates = [(tuple(int(q) for q in subset), float(theta)) for subset, theta in circuit["gates"]]
-        postselect = [(int(q), int(o)) for q, o in circuit.get("postselect", [])]
-        probs = dv_iqp_circuit(int(circuit["n_qubits"]), gates, postselect or None)
-        n = int(circuit["n_qubits"])
+        try:
+            n = int(circuit["n_qubits"])
+            gates = [(tuple(int(q) for q in subset), float(theta)) for subset, theta in circuit["gates"]]
+            postselect = [(int(q), int(o)) for q, o in circuit.get("postselect", [])]
+        except KeyError as exc:
+            raise ValidationError(f"iqp config entry is missing {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed iqp config entry: {exc}") from None
+        probs = dv_iqp_circuit(n, gates, postselect or None)
         rows = [[format(x, f"0{n}b")[::-1], p] for x, p in enumerate(probs)]
         _write_csv(cfg["out"], cfg, ["outcome_bits_q0_first", "probability"], rows)
         return 0

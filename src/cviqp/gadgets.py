@@ -49,7 +49,7 @@ from .quadgrid import (
     to_momentum,
 )
 from .gates import _shift_rows, apply_fourier, displace_p, displace_q
-from .states import GkpParams, gkp_plus, gkp_zero, squeezed_momentum
+from .states import GAUSSIAN_REACH_WIDTHS, GkpParams, gkp_plus, gkp_zero, squeezed_momentum
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -128,11 +128,10 @@ class GadgetReport:
 # On a self-dual grid dq^2 n = 2 pi, so the transform is the plain length-n
 # FFT and on-grid slices are circular lookups into one momentum transform.
 #
-# The chirp-z transform is written here in numpy rather than taken from
-# scipy.signal: importing scipy.signal about doubles the import time of the
-# package, and its w**(k**2/2) chirps drift off the unit circle (2.7e-10
-# relative on a 4096-point pixel probability, against 7e-16 for chirps built
-# from real phases with exact integer k^2).
+# The chirp-z transform is written here in numpy because the package imports
+# no scipy, and because scipy.signal's w**(k**2/2) chirps drift off the unit
+# circle (2.7e-10 relative on a 4096-point pixel probability, against 7e-16
+# for chirps built from real phases with exact integer k^2).
 
 _ON_GRID_TOL = 1e-9  # node offsets below this many dq count as on-grid samples
 _CZT_BATCH_POINTS = 1 << 22  # bounds the (nodes x 2n) transform buffer
@@ -310,9 +309,6 @@ def outcome_distribution(
 # ---------------------------------------------------------------------------
 # Fourier gadget
 
-# exp(-x) is exactly 0.0 in float64 for x > 745.2, so kernel terms beyond
-# this many widths vanish
-_KERNEL_REACH_WIDTHS = math.sqrt(2.0 * 746.0)
 _TARGET_BLOCK_ROWS = 256
 
 
@@ -329,7 +325,7 @@ def fourier_gadget_target(psi: ModeState, sigma: float) -> ModeState:
     else:
         # banded: the dropped kernel entries underflow to exactly 0.0
         p = g.momentum_points
-        reach = sigma * _KERNEL_REACH_WIDTHS
+        reach = sigma * GAUSSIAN_REACH_WIDTHS
         amp = np.zeros(g.n_points, dtype=np.complex128)
         for lo in range(0, g.n_points, _TARGET_BLOCK_ROWS):
             rows = p[lo : lo + _TARGET_BLOCK_ROWS]

@@ -33,6 +33,10 @@ MIN_SAMPLES_PER_STD = 4.0
 
 SQRT_PI = math.sqrt(math.pi)
 
+# exp(-x) is exactly 0.0 in float64 for x > 745.2, so a Gaussian
+# exp(-d^2 / (2 w^2)) vanishes beyond this many widths w from its center
+GAUSSIAN_REACH_WIDTHS = math.sqrt(2.0 * 746.0)
+
 
 def truncation_weight(n_max: int, delta_envelope: float) -> float:
     """Envelope weight of the first dropped comb peak, exp(-(2 n_max)^2 pi de^2 / 2)."""
@@ -107,12 +111,15 @@ def _comb(params: GkpParams, grid: QuadratureGrid, parity: int) -> ModeState:
             f"spike width {params.delta_spike} unresolvable on grid with dq={grid.dq:.3e}"
         )
     q = grid.points
+    reach = params.delta_spike * GAUSSIAN_REACH_WIDTHS
     amp = np.zeros(grid.n_points)
     for n in range(-params.n_max, params.n_max + 1):
         m = 2 * n + parity
         weight = math.exp(-(m**2) * math.pi * params.delta_envelope**2 / 2.0)
         center = m * SQRT_PI
-        amp += weight * np.exp(-((q - center) ** 2) / (2.0 * params.delta_spike**2))
+        # beyond the reach the tooth is exactly 0.0: the band sum is the full sum
+        j0, j1 = np.searchsorted(q, (center - reach, center + reach))
+        amp[j0:j1] += weight * np.exp(-((q[j0:j1] - center) ** 2) / (2.0 * params.delta_spike**2))
     state = normalized(ModeState(grid, Rep.POSITION, amp))
     check_edge_support(state)
     return state

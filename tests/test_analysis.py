@@ -17,7 +17,7 @@ from cviqp.analysis import (
     solve_ft_error,
     squeezing_db,
 )
-from cviqp.errors import ValidationError
+from cviqp.errors import NumericalError, ValidationError
 
 
 class TestPeBound:
@@ -125,6 +125,25 @@ class TestFaultTolerantFourier:
         f2 = erf(math.sqrt(math.pi) / (2 * math.sqrt(2) * math.sqrt(7) * sigma))
         assert 1 - f2 > 10 * (1 - f1)
         assert fault_tolerant_fourier_error(sigma) == pytest.approx(1 - f1 * f2, rel=1e-12)
+
+
+class TestSolveFtError:
+    @pytest.mark.parametrize("target", [1e-9, 1e-6, 1e-3, 0.1, 0.5])
+    def test_error_crosses_target_at_the_returned_float(self, target):
+        sigma = solve_ft_error(target)
+        here = fault_tolerant_fourier_error(sigma) - target
+        below = fault_tolerant_fourier_error(math.nextafter(sigma, 0.0)) - target
+        above = fault_tolerant_fourier_error(math.nextafter(sigma, math.inf)) - target
+        # the other end of the final bracket is one neighbour, and the
+        # returned end is the one nearer the target
+        crossings = [other for other in (below, above) if here * other <= 0.0]
+        assert crossings
+        assert any(abs(here) <= abs(other) for other in crossings)
+
+    def test_unreachable_target_is_a_numerical_failure(self):
+        # the error at sigma = 1, the top of the bracket, is about 0.877
+        with pytest.raises(NumericalError):
+            solve_ft_error(0.9)
 
 
 class TestMultiplicative:

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cviqp
 from cviqp.cli import main
 
 SQRT_PI = math.sqrt(math.pi)
@@ -312,3 +316,44 @@ class TestReadoutCommand:
         rc = main(["readout", "--delta", "0.2", "--eta", "0.3", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert not (tmp_path / "x.csv").exists()
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", ["float_list", "int_list", "iqp_without_gates"])
+    def test_exits_2_without_file(self, case, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        if case == "float_list":
+            argv = ["fourier-gadget", "--sigma", "abc", "--eta", "0.01", "--out", str(out)]
+            bad = "abc"
+        elif case == "int_list":
+            argv = ["scaling", "--n", "1,a", "--out", str(out)]
+            bad = "1,a"
+        else:
+            cfg = tmp_path / "iqp.json"
+            cfg.write_text(json.dumps({"mode": "iqp", "iqp": {"n_qubits": 2}}))
+            argv = ["dv", "--config", str(cfg), "--out", str(out)]
+            bad = "gates"
+        assert main(argv) == 2
+        assert not out.exists()
+        assert bad in capsys.readouterr().err
+
+
+class TestFaultToleranceRoot:
+    def test_unreachable_target_exits_3_without_file(self, tmp_path):
+        out = tmp_path / "x.csv"
+        rc = main(["scaling", "--n", "1", "--solve-ft-error", "0.9", "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+
+    def test_runs_without_scipy(self):
+        # a fresh interpreter, so modules imported by the test suite do not count
+        code = (
+            "import sys, cviqp.cli\n"
+            "cviqp.cli.main(['scaling', '--n', '1,10', '--solve-ft-error', '1e-6'])\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cviqp.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+        )
+        assert result.stdout.splitlines()[-1] == "[]"

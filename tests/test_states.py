@@ -12,6 +12,7 @@ from cviqp.quadgrid import (
     make_grid,
     norm,
     normalized,
+    self_dual_grid,
     to_momentum,
     to_position,
 )
@@ -176,3 +177,30 @@ class TestGkpCombs:
 
         with pytest.warns(GridSupportWarning):
             gkp_plus(GkpParams.tied(0.25), make_grid(1024, 25.0))
+
+
+def full_grid_comb(params, grid, parity):
+    """Reference comb: every tooth evaluated on every grid point."""
+    q = grid.points
+    amp = np.zeros(grid.n_points)
+    for n in range(-params.n_max, params.n_max + 1):
+        m = 2 * n + parity
+        weight = math.exp(-(m**2) * math.pi * params.delta_envelope**2 / 2.0)
+        amp += weight * np.exp(-((q - m * SQRT_PI) ** 2) / (2.0 * params.delta_spike**2))
+    return normalized(ModeState(grid, Rep.POSITION, amp))
+
+
+@pytest.mark.parametrize(
+    "delta, grid",
+    [
+        (0.05, self_dual_grid(65536)),
+        (0.25, make_grid(4096, 40.0)),
+        (0.35, make_grid(1024, 64.0)),
+    ],
+    ids=["self_dual_65536", "general_4096", "general_1024"],
+)
+def test_combs_are_bitwise_the_full_grid_sum(delta, grid):
+    params = GkpParams.tied(delta)
+    for maker, parity in ((gkp_zero, 0), (gkp_one, 1)):
+        state = maker(params, grid)
+        assert np.array_equal(state.amplitudes, full_grid_comb(params, grid, parity).amplitudes)
