@@ -66,6 +66,19 @@ def _int_list(value) -> list[int]:
     return _parse_list(value, int, (int, np.integer))
 
 
+def _number(cfg: dict, key: str, kind: type = float, optional: bool = False):
+    """cfg[key] as ``kind``, or None for an absent optional key.  Flags arrive typed;
+    file values must be JSON numbers (integers for ``kind=int``), else ValidationError."""
+    value = cfg.get(key)
+    if value is None and optional:
+        return None
+    allowed = (int,) if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        what = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{key} must be {what}, got {value!r}")
+    return kind(value)
+
+
 def _fmt(x) -> str:
     if isinstance(x, str):
         return x
@@ -129,22 +142,23 @@ def cmd_fourier_gadget(args: argparse.Namespace) -> int:
         raise ValidationError("fourier-gadget needs --out")
     sigmas = _float_list(cfg["sigma"])
     etas = _float_list(cfg["eta"])
-    grid = make_grid(int(cfg["grid_points"]), float(cfg["extent"]))
-    psi = _input_state(cfg["input"], grid, cfg.get("delta"), cfg.get("delta_env"))
+    grid = make_grid(_number(cfg, "grid_points", int), _number(cfg, "extent"))
+    delta, delta_env = (_number(cfg, key, optional=True) for key in ("delta", "delta_env"))
+    psi = _input_state(cfg["input"], grid, delta, delta_env)
+    postselect_k = _number(cfg, "postselect_k", int)
     # validate every point before any computation or file output
     for sigma in sigmas:
         squeezed_momentum(sigma, grid)
-    for eta in etas:
-        DetectorParams(eta=eta)
+    dets = [DetectorParams(eta=eta) for eta in etas]
     rows = []
     for sigma in sigmas:
-        for eta in etas:
-            rep = fourier_gadget(psi, sigma, DetectorParams(eta=eta), int(cfg["postselect_k"]))
+        for det in dets:
+            rep = fourier_gadget(psi, sigma, det, postselect_k)
             lead = rep.diagnostics["leading_order_probability"]
             rows.append(
                 [
                     sigma,
-                    eta,
+                    det.eta,
                     rep.success_probability,
                     lead,
                     rep.success_probability / lead - 1.0,
@@ -184,11 +198,12 @@ def cmd_error_correct(args: argparse.Namespace) -> int:
             raise ValidationError(f"error-correct needs --{key.replace('_', '-')}")
     if not cfg.get("out"):
         raise ValidationError("error-correct needs --out")
-    grid = make_grid(int(cfg["grid_points"]), float(cfg["extent"]))
-    det = DetectorParams(eta=float(cfg["eta"]))
+    grid = make_grid(_number(cfg, "grid_points", int), _number(cfg, "extent"))
+    det = DetectorParams(eta=_number(cfg, "eta"))
     det.require_gkp_compatible()
-    params = GkpParams.tied(float(cfg["delta"]), cfg.get("delta_env"))
-    u1 = float(cfg["u1"])
+    params = GkpParams.tied(_number(cfg, "delta"), _number(cfg, "delta_env", optional=True))
+    u1 = _number(cfg, "u1")
+    seed = _number(cfg, "seed", int)
     clean = gkp_plus(params, grid)
     data = displace_q(clean, u1)
     pre_fid = fidelity_pure(clean, data)
@@ -197,8 +212,8 @@ def cmd_error_correct(args: argparse.Namespace) -> int:
     dist = outcome_distribution(data, ancilla, det)
     outcomes: dict[int, tuple] = {}
     rows = []
-    for trial in range(int(cfg["trials"])):
-        trial_seed = int(cfg["seed"]) + trial
+    for trial in range(_number(cfg, "trials", int)):
+        trial_seed = seed + trial
         k = sample_outcome(dist, trial_seed)
         if k not in outcomes:
             rep = gkp_error_correct(
@@ -267,7 +282,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         ]
         if include_composed:
             comp = analysis.composed_postselection(
-                n, int(cfg["l"]), float(_float_list(cfg["eta"])[0]), float(_float_list(cfg["sigma"])[0])
+                n, _number(cfg, "l", int), _float_list(cfg["eta"])[0], _float_list(cfg["sigma"])[0]
             )
             row.append(comp.log10_probability)
         rows.append(row)
@@ -275,7 +290,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     for row in rows:
         print(" ".join(f"{_fmt(v):>22s}" for v in row))
     if cfg.get("solve_ft_error") is not None:
-        target = float(cfg["solve_ft_error"])
+        target = _number(cfg, "solve_ft_error")
         sigma = analysis.solve_ft_error(target)
         db = analysis.squeezing_db(sigma**2)
         print(
@@ -302,10 +317,10 @@ def cmd_dv(args: argparse.Namespace) -> int:
         post = cfg.get("postselect")
         postsel = {"+": 1, "-": -1}.get(post) if post not in (None, "none") else None
         psi = qubit_state(1.0, 0.0)
+        seed = _number(cfg, "seed", int, optional=True)
         rows = []
-        for trial in range(int(cfg["trials"])):
-            seed = (int(cfg["seed"]) + trial) if cfg.get("seed") is not None else None
-            _out, h, prob = dv_hadamard_gadget(psi, postselect=postsel, seed=seed)
+        for trial in range(_number(cfg, "trials", int)):
+            _out, h, prob = dv_hadamard_gadget(psi, postselect=postsel, seed=None if seed is None else seed + trial)
             rows.append([trial, h, prob])
         _write_csv(cfg["out"], cfg, ["trial", "h", "probability"], rows)
         return 0
@@ -342,15 +357,16 @@ def cmd_readout(args: argparse.Namespace) -> int:
     if not cfg.get("out"):
         raise ValidationError("readout needs --out")
     deltas = _float_list(cfg["delta"])
-    det = DetectorParams(eta=float(cfg["eta"]))
+    det = DetectorParams(eta=_number(cfg, "eta"))
     det.require_gkp_compatible()
-    grid = make_grid(int(cfg["grid_points"]), float(cfg["extent"]))
+    grid = make_grid(_number(cfg, "grid_points", int), _number(cfg, "extent"))
     maker = _GKP_STATES.get(cfg["state"])
     if maker is None:
         raise ValidationError(f"unknown GKP state {cfg['state']!r}")
     rows = []
+    delta_env = _number(cfg, "delta_env", optional=True)
     for delta in deltas:
-        params = GkpParams.tied(delta, cfg.get("delta_env"))
+        params = GkpParams.tied(delta, delta_env)
         result = gkp_readout(maker(params, grid), det)
         rows.append(
             [delta, params.delta_envelope, det.eta, result.p_plus, result.p_minus, result.p_error, analysis.pe_bound(delta)]

@@ -67,8 +67,8 @@ class DetectorParams:
     eta: float
 
     def __post_init__(self) -> None:
-        if not self.eta > 0:
-            raise ValidationError(f"eta must be positive, got {self.eta}")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValidationError(f"eta must be finite and positive, got {self.eta}")
 
     def bin_center(self, k: int) -> float:
         return 2.0 * self.eta * k

@@ -64,7 +64,7 @@ def test_criterion_1_fourier_gadget_probability_law():
     ok = True
     for eta in (0.02, 0.01, 0.005):
         t0 = time.monotonic()
-        rep = fourier_gadget(psi, sigma, DetectorParams(eta=eta), compute_fidelities=False)
+        rep = fourier_gadget(psi, sigma, DetectorParams(eta=eta))
         runtime = time.monotonic() - t0
         lead = 2.0 * eta * sigma / SQRT_PI
         rel = abs(rep.success_probability / lead - 1.0)

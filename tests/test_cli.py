@@ -210,6 +210,12 @@ class TestErrorCorrectCommand:
         assert rc == 2
         assert not out.exists()
 
+    def test_infinite_eta_exits_2(self, tmp_path):
+        out = tmp_path / "inf.csv"
+        rc = main(["error-correct", "--delta", "0.25", "--eta", "inf", "--seed", "3", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
     def test_missing_seed_exits_2(self, tmp_path):
         rc = main(
             [
@@ -317,6 +323,11 @@ class TestReadoutCommand:
         assert rc == 2
         assert not (tmp_path / "x.csv").exists()
 
+    def test_infinite_eta_exits_2(self, tmp_path):
+        rc = main(["readout", "--delta", "0.2", "--eta", "inf", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize("case", ["float_list", "int_list", "iqp_without_gates"])
@@ -336,6 +347,37 @@ class TestMalformedInput:
         assert main(argv) == 2
         assert not out.exists()
         assert bad in capsys.readouterr().err
+
+    # one malformed numeric value per command, read from a config file
+    CONFIG_CASES = {
+        "fg_grid_points": ("fourier-gadget", {"sigma": 0.1, "eta": 0.01, "grid_points": "abc"}, "grid_points"),
+        "fg_delta": (
+            "fourier-gadget",
+            {"sigma": 0.1, "eta": 0.01, "input": "plus", "delta": "0.25", "grid_points": 1024, "extent": 64.0},
+            "delta",
+        ),
+        "ec_seed": (
+            "error-correct",
+            {"delta": 0.25, "eta": SQRT_PI / 4, "seed": "x", "grid_points": 1024, "extent": 64.0},
+            "seed",
+        ),
+        "dv_trials": ("dv", {"mode": "hadamard-gadget", "trials": "x", "seed": 1}, "trials"),
+        "readout_delta_env": (
+            "readout",
+            {"delta": 0.25, "eta": SQRT_PI / 8, "delta_env": "x", "grid_points": 1024, "extent": 64.0},
+            "delta_env",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+    def test_config_value_exits_2_without_file(self, case, tmp_path, capsys):
+        command, config, key = self.CONFIG_CASES[case]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert key in capsys.readouterr().err
 
 
 class TestFaultToleranceRoot:

@@ -135,7 +135,7 @@ class TestFourierGadget:
 
     def test_probability_matches_independent_oracle(self, gadget_grid):
         psi = vacuum(gadget_grid)
-        rep = fourier_gadget(psi, 0.1, DetectorParams(eta=0.01), compute_fidelities=False)
+        rep = fourier_gadget(psi, 0.1, DetectorParams(eta=0.01))
         oracle = oracle_center_bin_probability(psi, 0.1, 0.01)
         assert rep.success_probability == pytest.approx(oracle, rel=1e-6)
 
@@ -162,7 +162,7 @@ class TestFourierGadget:
         b0 = oracle_center_bin_probability(psi, sigma, 1e-7) / (2e-7 * sigma / SQRT_PI)
         devs = []
         for eta in (0.02, 0.01, 0.005):
-            rep = fourier_gadget(psi, sigma, DetectorParams(eta=eta), compute_fidelities=False)
+            rep = fourier_gadget(psi, sigma, DetectorParams(eta=eta))
             lead = rep.diagnostics["leading_order_probability"]
             devs.append(abs(rep.success_probability / lead - b0))
         assert devs[1] / devs[0] < 0.30
@@ -175,7 +175,7 @@ class TestFourierGadget:
         psi = random_smooth_state(grid, seed=8)
         det = DetectorParams(eta=eta)
         assert det.sample_aligned(grid) == (eta == 0.35)
-        rep = fourier_gadget(psi, 0.4, det, compute_fidelities=False)
+        rep = fourier_gadget(psi, 0.4, det)
         st = apply_cz(tensor(psi, squeezed_momentum(0.4, grid)))
         prob = bin_probabilities(st, 1, det, k_range=[0], warn_tail=False)[0]
         oracle = project_bin(st, 1, 0, det)
@@ -190,7 +190,7 @@ class TestFourierGadget:
     def test_ensemble_fidelity_is_the_weighted_mean_row_fidelity(self, grid_name):
         grid = ORACLE_GRIDS[grid_name]
         psi = random_smooth_state(grid, seed=8)
-        rep = fourier_gadget(psi, 0.4, DetectorParams(eta=0.01), compute_fidelities=False)
+        rep = fourier_gadget(psi, 0.4, DetectorParams(eta=0.01))
         pairs = _pairs(rep.output)
         assert len(pairs) > 1
         targets = (apply_fourier(psi), fourier_gadget_target(psi, 0.4))
@@ -208,16 +208,24 @@ class TestFourierGadget:
         assert rep.success_probability == pytest.approx(lead, rel=0.05)
         assert rep.diagnostics["fidelity_vs_finite_squeezing_target"] > 0.999
 
-    def test_target_builder_matches_direct_integration(self, grid_small):
-        # dense-kernel route vs the library construction on a non-self-dual grid
-        psi = random_smooth_state(grid_small, seed=11)
-        sigma = 0.5
+    @pytest.mark.parametrize("case", ["general", "self_dual", "gkp_plus"])
+    def test_target_builder_matches_direct_integration(self, case, grid_small):
+        # dense-kernel route vs the library construction, on both grid kinds
+        if case == "general":
+            psi, sigma = random_smooth_state(grid_small, seed=11), 0.5
+        elif case == "self_dual":
+            psi, sigma = random_smooth_state(self_dual_grid(1024), seed=11), 0.5
+        else:
+            psi, sigma = gkp_plus(GkpParams.tied(0.25), make_grid(4096, 256.0)), 0.1
         target = fourier_gadget_target(psi, sigma)
-        p = grid_small.momentum_points
-        q = grid_small.points
-        kernel = np.exp(-((p[:, None] - q[None, :]) ** 2) / (2 * sigma**2))
-        direct = kernel @ psi.amplitudes
-        direct = direct / np.sqrt(np.sum(np.abs(direct) ** 2) * grid_small.dp)
+        p = psi.grid.momentum_points
+        q = psi.grid.points
+        # the kernel in row blocks, to bound memory on the 4096-point grid
+        direct = np.concatenate([
+            np.exp(-((rows[:, None] - q[None, :]) ** 2) / (2 * sigma**2)) @ psi.amplitudes
+            for rows in np.split(p, 8)
+        ])
+        direct = direct / np.sqrt(np.sum(np.abs(direct) ** 2) * psi.grid.dp)
         assert np.max(np.abs(target.amplitudes - direct)) < 1e-10
 
 

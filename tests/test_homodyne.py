@@ -55,6 +55,11 @@ class TestDetectorParams:
         with pytest.raises(ValidationError):
             DetectorParams(eta=0.0)
 
+    @pytest.mark.parametrize("eta", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_finite_eta_required(self, eta):
+        with pytest.raises(ValidationError):
+            DetectorParams(eta=eta)
+
 
 class TestBinProbabilities:
     def test_squeezed_mode_concentrated_in_central_bin(self):
