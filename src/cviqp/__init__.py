@@ -9,8 +9,6 @@ from .errors import (
     ZeroMassBinError,
 )
 from .quadgrid import (
-    DEFAULT_EXTENT,
-    DEFAULT_N_POINTS,
     GridSupportWarning,
     ModeState,
     QuadratureGrid,

@@ -1,14 +1,17 @@
 """Experiment driver.
 
 Subcommands: ``fourier-gadget``, ``error-correct``, ``scaling``, ``dv``,
-``readout``.  Parameters come from flags or from a JSON file via ``--config``
-(flags override file values).  Results are CSV files whose first line is a
-``#``-prefixed JSON dump of the fully resolved configuration, so every output
-is self-describing, and identical configurations with identical seeds produce
-byte-identical files.  Randomized commands require an explicit ``--seed``.
+``readout``.  Each parameter is one flag, declared in ``build_parser`` with its
+type, choices, default and required-ness.  ``--config`` names a JSON object of
+the same flags keyed by destination (``grid_points``); its entries are parsed
+ahead of the command-line flags in one parse, so flags override them and they
+pass the same checks (a numeric entry must also be a JSON number).  Results are
+CSV files whose first line is a ``#``-prefixed JSON dump of the parsed
+parameters, so identical parameters with identical seeds produce byte-identical
+files, from flags or from a file.  Randomized commands require ``--seed``.
 
-Exit codes: 0 success, 2 validation error (no result file is written),
-3 numerical failure (zero-mass post-selection bin, failed root-find).
+Exit codes: 0 success (and ``--help``), 2 validation error (no result file is
+written), 3 numerical failure (zero-mass post-selection bin, failed root-find).
 """
 
 from __future__ import annotations
@@ -44,39 +47,46 @@ from .states import GkpParams, gkp_minus, gkp_one, gkp_plus, gkp_zero, squeezed_
 _GKP_STATES = {"plus": gkp_plus, "minus": gkp_minus, "zero": gkp_zero, "one": gkp_one}
 
 
-def _parse_list(value, convert, scalar_types) -> list:
-    """A scalar, a comma-separated string or a list, converted item by item."""
-    if isinstance(value, scalar_types):
-        items = [value]
-    elif isinstance(value, str):
-        items = [tok for tok in value.split(",") if tok.strip()]
-    else:
-        items = value
-    try:
-        return [convert(item) for item in items]
-    except (TypeError, ValueError):
-        raise ValidationError(f"expected one {convert.__name__} or a comma list of them, got {value!r}") from None
+class _CommaList(str):
+    """A comma-list flag value: the text as given, which the CSV header records,
+    with its converted items in ``values``."""
+
+    values: list
 
 
-def _float_list(value) -> list[float]:
-    return _parse_list(value, float, (int, float))
+def _comma_list(convert):
+    """An argparse type for one ``convert`` value or a comma list of them."""
+
+    def parse(text: str) -> _CommaList:
+        parsed = _CommaList(text)
+        parsed.values = [convert(tok) for tok in text.split(",") if tok.strip()]
+        if not parsed.values:
+            raise ValueError(text)
+        return parsed
+
+    parse.__name__ = f"{convert.__name__} list"  # argparse: "invalid float list value: 'abc'"
+    return parse
 
 
-def _int_list(value) -> list[int]:
-    return _parse_list(value, int, (int, np.integer))
+def _int_at_least(low: int, name: str):
+    """An argparse type, named ``name`` in its errors, for an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(text)
+        return value
+
+    parse.__name__ = name
+    return parse
 
 
-def _number(cfg: dict, key: str, kind: type = float, optional: bool = False):
-    """cfg[key] as ``kind``, or None for an absent optional key.  Flags arrive typed;
-    file values must be JSON numbers (integers for ``kind=int``), else ValidationError."""
-    value = cfg.get(key)
-    if value is None and optional:
-        return None
-    allowed = (int,) if kind is int else (int, float)
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        what = "an integer" if kind is int else "a number"
-        raise ValidationError(f"{key} must be {what}, got {value!r}")
-    return kind(value)
+_floats = _comma_list(float)
+_ints = _comma_list(int)
+_seed = _int_at_least(0, "non-negative int")
+_trials = _int_at_least(1, "positive int")
+# flag types whose config-file values must be JSON numbers, not strings
+_NUMBERS = (int, float, _seed, _trials)
 
 
 def _fmt(x) -> str:
@@ -89,39 +99,24 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-def _write_csv(path: str, config: dict, header: list[str], rows: list[list]) -> None:
-    # the header records the experiment, not the file location: identical
-    # configurations and seeds must produce byte-identical files
-    config = {k: v for k, v in config.items() if k not in ("out", "config")}
-    lines = ["# " + json.dumps(config, sort_keys=True)]
+def _write_csv(args: argparse.Namespace, header: list[str], rows: list[list], **results) -> None:
+    # the header records the experiment, not where it reads and writes: identical
+    # parameters and seeds must produce byte-identical files
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "command", "config", "out") and v is not None}
+    lines = ["# " + json.dumps({**config, **results}, sort_keys=True)]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
-    """File config overridden by any explicitly supplied flags."""
-    merged: dict = {}
-    if getattr(args, "config", None):
-        merged.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
+    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _input_state(kind: str, grid, delta: float | None, delta_env: float | None) -> ModeState:
     if kind == "vacuum":
         q = grid.points
         return normalized(ModeState(grid, Rep.POSITION, np.exp(-(q**2) / 2.0)))
-    if kind in _GKP_STATES:
-        if delta is None:
-            raise ValidationError(f"--delta is required for input '{kind}'")
-        params = GkpParams.tied(delta, delta_env)
-        return _GKP_STATES[kind](params, grid)
-    raise ValidationError(f"unknown input state {kind!r}")
+    if delta is None:
+        raise ValidationError(f"--delta is required for input '{kind}'")
+    return _GKP_STATES[kind](GkpParams.tied(delta, delta_env), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -129,31 +124,16 @@ def _input_state(kind: str, grid, delta: float | None, delta_env: float | None) 
 
 
 def cmd_fourier_gadget(args: argparse.Namespace) -> int:
-    cfg = _merge_config(
-        args, ["sigma", "eta", "grid_points", "extent", "out", "input", "delta", "delta_env", "postselect_k"]
-    )
-    cfg.setdefault("grid_points", 4096)
-    cfg.setdefault("extent", 256.0)
-    cfg.setdefault("input", "vacuum")
-    cfg.setdefault("postselect_k", 0)
-    if "sigma" not in cfg or "eta" not in cfg:
-        raise ValidationError("fourier-gadget needs --sigma and --eta")
-    if not cfg.get("out"):
-        raise ValidationError("fourier-gadget needs --out")
-    sigmas = _float_list(cfg["sigma"])
-    etas = _float_list(cfg["eta"])
-    grid = make_grid(_number(cfg, "grid_points", int), _number(cfg, "extent"))
-    delta, delta_env = (_number(cfg, key, optional=True) for key in ("delta", "delta_env"))
-    psi = _input_state(cfg["input"], grid, delta, delta_env)
-    postselect_k = _number(cfg, "postselect_k", int)
+    grid = make_grid(args.grid_points, args.extent)
+    psi = _input_state(args.input, grid, args.delta, args.delta_env)
     # validate every point before any computation or file output
-    for sigma in sigmas:
+    for sigma in args.sigma.values:
         squeezed_momentum(sigma, grid)
-    dets = [DetectorParams(eta=eta) for eta in etas]
+    dets = [DetectorParams(eta=eta) for eta in args.eta.values]
     rows = []
-    for sigma in sigmas:
+    for sigma in args.sigma.values:
         for det in dets:
-            rep = fourier_gadget(psi, sigma, det, postselect_k)
+            rep = fourier_gadget(psi, sigma, det, args.postselect_k)
             lead = rep.diagnostics["leading_order_probability"]
             rows.append(
                 [
@@ -168,8 +148,7 @@ def cmd_fourier_gadget(args: argparse.Namespace) -> int:
                 ]
             )
     _write_csv(
-        cfg["out"],
-        cfg,
+        args,
         [
             "sigma",
             "eta",
@@ -186,34 +165,20 @@ def cmd_fourier_gadget(args: argparse.Namespace) -> int:
 
 
 def cmd_error_correct(args: argparse.Namespace) -> int:
-    cfg = _merge_config(
-        args, ["delta", "delta_env", "eta", "u1", "trials", "seed", "grid_points", "extent", "out"]
-    )
-    cfg.setdefault("grid_points", 4096)
-    cfg.setdefault("extent", 96.0)
-    cfg.setdefault("u1", 0.2)
-    cfg.setdefault("trials", 1)
-    for key in ("delta", "eta", "seed"):
-        if key not in cfg or cfg[key] is None:
-            raise ValidationError(f"error-correct needs --{key.replace('_', '-')}")
-    if not cfg.get("out"):
-        raise ValidationError("error-correct needs --out")
-    grid = make_grid(_number(cfg, "grid_points", int), _number(cfg, "extent"))
-    det = DetectorParams(eta=_number(cfg, "eta"))
+    grid = make_grid(args.grid_points, args.extent)
+    det = DetectorParams(eta=args.eta)
     det.require_gkp_compatible()
-    params = GkpParams.tied(_number(cfg, "delta"), _number(cfg, "delta_env", optional=True))
-    u1 = _number(cfg, "u1")
-    seed = _number(cfg, "seed", int)
+    params = GkpParams.tied(args.delta, args.delta_env)
     clean = gkp_plus(params, grid)
-    data = displace_q(clean, u1)
+    data = displace_q(clean, args.u1)
     pre_fid = fidelity_pure(clean, data)
     ancilla = gkp_zero(params, grid)
     # one conditioning per distinct outcome; trials resample the outcome only
     dist = outcome_distribution(data, ancilla, det)
     outcomes: dict[int, tuple] = {}
     rows = []
-    for trial in range(_number(cfg, "trials", int)):
-        trial_seed = seed + trial
+    for trial in range(args.trials):
+        trial_seed = args.seed + trial
         k = sample_outcome(dist, trial_seed)
         if k not in outcomes:
             rep = gkp_error_correct(
@@ -222,7 +187,7 @@ def cmd_error_correct(args: argparse.Namespace) -> int:
                 ShiftNoise.none(),
                 det,
                 fixed_outcome_k=k,
-                known_data_shift=(u1, 0.0),
+                known_data_shift=(args.u1, 0.0),
                 ancilla_state=ancilla,
             )
             outcomes[k] = (rep, ensemble_fidelity(rep.output, clean))
@@ -243,8 +208,7 @@ def cmd_error_correct(args: argparse.Namespace) -> int:
             ]
         )
     _write_csv(
-        cfg["out"],
-        cfg,
+        args,
         [
             "trial",
             "seed",
@@ -263,15 +227,17 @@ def cmd_error_correct(args: argparse.Namespace) -> int:
 
 
 def cmd_scaling(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, ["n", "l", "eta", "sigma", "solve_ft_error", "out"])
-    cfg.setdefault("n", "1,10,100,1000")
-    ns = _int_list(cfg["n"])
-    rows = []
+    composed = {"--l": args.l, "--eta": args.eta, "--sigma": args.sigma}
+    missing = [flag for flag, value in composed.items() if value is None]
+    if 0 < len(missing) < len(composed):
+        raise ValidationError(
+            f"the composed post-selection column needs --l, --eta and --sigma together; missing {', '.join(missing)}"
+        )
     header = ["n", "min_delta_sq", "min_squeezing_db", "mean_photon_lower", "pe_bound_at_min"]
-    include_composed = all(cfg.get(key) is not None for key in ("l", "eta", "sigma"))
-    if include_composed:
+    if not missing:
         header += ["log10_composed_postselection"]
-    for n in ns:
+    rows = []
+    for n in args.n.values:
         report = analysis.min_squeezing_db(n)
         row = [
             n,
@@ -280,100 +246,73 @@ def cmd_scaling(args: argparse.Namespace) -> int:
             report.mean_photon_lower,
             report.pe_bound_at_min,
         ]
-        if include_composed:
-            comp = analysis.composed_postselection(
-                n, _number(cfg, "l", int), _float_list(cfg["eta"])[0], _float_list(cfg["sigma"])[0]
-            )
-            row.append(comp.log10_probability)
+        if not missing:
+            row.append(analysis.composed_postselection(n, args.l, args.eta, args.sigma).log10_probability)
         rows.append(row)
     print(" ".join(f"{h:>22s}" for h in header))
     for row in rows:
         print(" ".join(f"{_fmt(v):>22s}" for v in row))
-    if cfg.get("solve_ft_error") is not None:
-        target = _number(cfg, "solve_ft_error")
+    solved = {}
+    if args.solve_ft_error is not None:
+        target = args.solve_ft_error
         sigma = analysis.solve_ft_error(target)
         db = analysis.squeezing_db(sigma**2)
         print(
             f"fault-tolerant Fourier error {target:g}: sigma = {sigma:.6f}, "
             f"sigma^2 = {sigma**2:.6f}, squeezing = {db:.3f} dB"
         )
-        cfg["solved_sigma"] = sigma
-        cfg["solved_db"] = db
-    if cfg.get("out"):
-        _write_csv(cfg["out"], cfg, header, rows)
+        solved = {"solved_sigma": sigma, "solved_db": db}
+    if args.out:
+        _write_csv(args, header, rows, **solved)
     return 0
 
 
 def cmd_dv(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, ["mode", "trials", "seed", "postselect", "out"])
-    cfg.setdefault("mode", "hadamard-gadget")
-    cfg.setdefault("trials", 1)
-    if not cfg.get("out"):
-        raise ValidationError("dv needs --out")
-    mode = cfg["mode"]
-    if mode == "hadamard-gadget":
-        if cfg.get("seed") is None and cfg.get("postselect") in (None, "none"):
+    if args.mode == "hadamard-gadget":
+        postselect = {"+": 1, "-": -1}.get(args.postselect)
+        if postselect is None and args.seed is None:
             raise ValidationError("sampled hadamard-gadget runs need --seed")
-        post = cfg.get("postselect")
-        postsel = {"+": 1, "-": -1}.get(post) if post not in (None, "none") else None
         psi = qubit_state(1.0, 0.0)
-        seed = _number(cfg, "seed", int, optional=True)
         rows = []
-        for trial in range(_number(cfg, "trials", int)):
-            _out, h, prob = dv_hadamard_gadget(psi, postselect=postsel, seed=None if seed is None else seed + trial)
+        for trial in range(args.trials):
+            seed = None if args.seed is None else args.seed + trial
+            _out, h, prob = dv_hadamard_gadget(psi, postselect=postselect, seed=seed)
             rows.append([trial, h, prob])
-        _write_csv(cfg["out"], cfg, ["trial", "h", "probability"], rows)
+        _write_csv(args, ["trial", "h", "probability"], rows)
         return 0
-    if mode == "iqp":
-        circuit = cfg.get("iqp")
-        if not circuit:
-            raise ValidationError(
-                "iqp mode needs an 'iqp' config entry: "
-                '{"n_qubits": int, "gates": [[[qubits], theta], ...], "postselect": [[qubit, outcome], ...]}'
-            )
-        try:
-            n = int(circuit["n_qubits"])
-            gates = [(tuple(int(q) for q in subset), float(theta)) for subset, theta in circuit["gates"]]
-            postselect = [(int(q), int(o)) for q, o in circuit.get("postselect", [])]
-        except KeyError as exc:
-            raise ValidationError(f"iqp config entry is missing {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed iqp config entry: {exc}") from None
-        probs = dv_iqp_circuit(n, gates, postselect or None)
-        rows = [[format(x, f"0{n}b")[::-1], p] for x, p in enumerate(probs)]
-        _write_csv(cfg["out"], cfg, ["outcome_bits_q0_first", "probability"], rows)
-        return 0
-    raise ValidationError(f"unknown dv mode {mode!r}")
+    circuit = args.iqp
+    if not circuit:
+        raise ValidationError(
+            "iqp mode needs --iqp (an 'iqp' config entry): "
+            '{"n_qubits": int, "gates": [[[qubits], theta], ...], "postselect": [[qubit, outcome], ...]}'
+        )
+    try:
+        n = int(circuit["n_qubits"])
+        gates = [(tuple(int(q) for q in subset), float(theta)) for subset, theta in circuit["gates"]]
+        postselect = [(int(q), int(o)) for q, o in circuit.get("postselect", [])]
+    except KeyError as exc:
+        raise ValidationError(f"--iqp is missing {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed --iqp: {exc}") from None
+    probs = dv_iqp_circuit(n, gates, postselect or None)
+    rows = [[format(x, f"0{n}b")[::-1], p] for x, p in enumerate(probs)]
+    _write_csv(args, ["outcome_bits_q0_first", "probability"], rows)
+    return 0
 
 
 def cmd_readout(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, ["delta", "delta_env", "eta", "state", "grid_points", "extent", "out"])
-    cfg.setdefault("grid_points", 8192)
-    cfg.setdefault("extent", 170.0)
-    cfg.setdefault("state", "minus")
-    for key in ("delta", "eta"):
-        if cfg.get(key) is None:
-            raise ValidationError(f"readout needs --{key}")
-    if not cfg.get("out"):
-        raise ValidationError("readout needs --out")
-    deltas = _float_list(cfg["delta"])
-    det = DetectorParams(eta=_number(cfg, "eta"))
+    det = DetectorParams(eta=args.eta)
     det.require_gkp_compatible()
-    grid = make_grid(_number(cfg, "grid_points", int), _number(cfg, "extent"))
-    maker = _GKP_STATES.get(cfg["state"])
-    if maker is None:
-        raise ValidationError(f"unknown GKP state {cfg['state']!r}")
+    grid = make_grid(args.grid_points, args.extent)
     rows = []
-    delta_env = _number(cfg, "delta_env", optional=True)
-    for delta in deltas:
-        params = GkpParams.tied(delta, delta_env)
-        result = gkp_readout(maker(params, grid), det)
+    for delta in args.delta.values:
+        params = GkpParams.tied(delta, args.delta_env)
+        result = gkp_readout(_GKP_STATES[args.state](params, grid), det)
         rows.append(
             [delta, params.delta_envelope, det.eta, result.p_plus, result.p_minus, result.p_error, analysis.pe_bound(delta)]
         )
     _write_csv(
-        cfg["out"],
-        cfg,
+        args,
         ["delta", "delta_env", "eta", "p_plus", "p_minus", "p_error", "pe_bound"],
         rows,
     )
@@ -385,102 +324,159 @@ def cmd_readout(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every parameter of every subcommand, with its type, choices, default and whether it is required."""
     parser = argparse.ArgumentParser(
         prog="cviqp",
         description="CV-IQP gadget experiments: post-selected Fourier gadgets, GKP error "
         "correction, squeezing scaling tables, GKP readout, and DV reference circuits.",
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON file with parameters (flags override)")
-        p.add_argument("--out", help="result CSV path")
-        p.add_argument("--seed", type=int, help="base seed (randomized commands require it)")
-        p.add_argument("--grid-points", dest="grid_points", type=int, help="grid size (power of two)")
-        p.add_argument("--extent", type=float, help="grid extent L")
+    def command(name: str, func, out_required: bool = True, **kwargs) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, exit_on_error=False, **kwargs)
+        p.add_argument("--config", help="JSON file of this command's flags, keyed like grid_points (flags override)")
+        p.add_argument("--out", required=out_required, help="result CSV path")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser(
+    def grid(p: argparse.ArgumentParser, points: int, extent: float) -> None:
+        p.add_argument("--grid-points", dest="grid_points", type=int, default=points, help="grid size (power of two)")
+        p.add_argument("--extent", type=float, default=extent, help="grid extent L")
+
+    p = command(
         "fourier-gadget",
+        cmd_fourier_gadget,
         help="post-selected Fourier gadget sweep over sigma and eta",
         description="Writes one record per (sigma, eta): pixel probability vs the "
         "2*eta*sigma/sqrt(pi) leading order, and output fidelities.",
     )
-    common(p)
-    p.add_argument("--sigma", help="ancilla squeezing (comma list allowed)")
-    p.add_argument("--eta", help="detector half-width (comma list allowed)")
-    p.add_argument("--input", choices=["vacuum", "plus", "minus", "zero", "one"], help="input state")
+    grid(p, 4096, 256.0)
+    p.add_argument("--sigma", type=_floats, required=True, help="ancilla squeezing (comma list allowed)")
+    p.add_argument("--eta", type=_floats, required=True, help="detector half-width (comma list allowed)")
+    p.add_argument("--input", choices=["vacuum", *_GKP_STATES], default="vacuum", help="input state")
     p.add_argument("--delta", type=float, help="GKP spike width for GKP inputs")
     p.add_argument("--delta-env", dest="delta_env", type=float, help="GKP envelope parameter")
-    p.add_argument("--postselect-k", dest="postselect_k", type=int, help="post-selected pixel index")
-    p.set_defaults(func=cmd_fourier_gadget)
+    p.add_argument("--postselect-k", dest="postselect_k", type=int, default=0, help="post-selected pixel index")
 
-    p = sub.add_parser(
+    p = command(
         "error-correct",
+        cmd_error_correct,
         help="GKP error-correction trials on a displaced |+> comb",
         description="Displaces a clean |+> comb by u1, runs the syndrome measurement with "
         "seeded outcomes, and records correction, net offset, threshold and "
         "miscorrection flags, and pre/post fidelities.",
     )
-    common(p)
-    p.add_argument("--delta", type=float, help="GKP spike width (data and ancilla)")
+    grid(p, 4096, 96.0)
+    p.add_argument("--seed", type=_seed, required=True, help="base seed; trial t uses seed + t")
+    p.add_argument("--delta", type=float, required=True, help="GKP spike width (data and ancilla)")
     p.add_argument("--delta-env", dest="delta_env", type=float, help="GKP envelope parameter")
-    p.add_argument("--eta", type=float, help="detector half-width (sqrt(pi)/eta must be integer)")
-    p.add_argument("--u1", type=float, help="data position displacement")
-    p.add_argument("--trials", type=int, help="number of seeded outcome draws")
-    p.set_defaults(func=cmd_error_correct)
+    p.add_argument("--eta", type=float, required=True, help="detector half-width (sqrt(pi)/eta must be integer)")
+    p.add_argument("--u1", type=float, default=0.2, help="data position displacement")
+    p.add_argument("--trials", type=_trials, default=1, help="number of seeded outcome draws")
 
-    p = sub.add_parser(
+    p = command(
         "scaling",
+        cmd_scaling,
+        out_required=False,
         help="squeezing scaling table and fault-tolerance root-find",
         description="Prints n -> (minimum squeezing dB, mean-photon lower bound, Pe bound); "
         "--solve-ft-error finds sigma with the stated error per Fourier transform.",
     )
-    common(p)
-    p.add_argument("--n", help="circuit sizes (comma list)")
+    p.add_argument("--n", type=_ints, default="1,10,100,1000", help="circuit sizes (comma list)")
     p.add_argument("--l", type=int, help="number of Fourier gadgets for the composed probability")
-    p.add_argument("--eta", help="detector half-width for the composed probability")
-    p.add_argument("--sigma", help="squeezing for the composed probability")
+    p.add_argument("--eta", type=float, help="detector half-width for the composed probability")
+    p.add_argument("--sigma", type=float, help="squeezing for the composed probability")
     p.add_argument(
         "--solve-ft-error",
         dest="solve_ft_error",
         type=float,
         help="target error probability per Fourier transform",
     )
-    p.set_defaults(func=cmd_scaling)
 
-    p = sub.add_parser(
+    p = command(
         "dv",
+        cmd_dv,
         help="DV reference simulations (Hadamard gadget, IQP circuits)",
         description="hadamard-gadget mode records (trial, h, probability); iqp mode takes "
-        "the circuit from the config file and writes the outcome distribution.",
+        "the circuit from --iqp and writes the outcome distribution.",
     )
-    common(p)
-    p.add_argument("--mode", choices=["hadamard-gadget", "iqp"], help="what to simulate")
-    p.add_argument("--trials", type=int, help="number of seeded gadget runs")
+    p.add_argument("--seed", type=_seed, help="base seed; trial t uses seed + t (sampled runs require it)")
+    p.add_argument("--mode", choices=["hadamard-gadget", "iqp"], default="hadamard-gadget", help="what to simulate")
+    p.add_argument("--trials", type=_trials, default=1, help="number of seeded gadget runs")
     p.add_argument("--postselect", choices=["+", "-", "none"], help="gadget post-selection")
-    p.set_defaults(func=cmd_dv)
+    p.add_argument(
+        "--iqp",
+        type=json.loads,
+        help='iqp circuit as JSON: {"n_qubits": int, "gates": [[[qubits], theta], ...], '
+        '"postselect": [[qubit, outcome], ...]}',
+    )
 
-    p = sub.add_parser(
+    p = command(
         "readout",
+        cmd_readout,
         help="sqrt(pi)-window GKP readout masses vs the misidentification bound",
         description="Writes (p_plus, p_minus, p_error) for GKP states over a delta sweep, "
         "next to the closed-form bound.",
     )
-    common(p)
-    p.add_argument("--delta", help="GKP spike width (comma list allowed)")
+    grid(p, 8192, 170.0)
+    p.add_argument("--delta", type=_floats, required=True, help="GKP spike width (comma list allowed)")
     p.add_argument("--delta-env", dest="delta_env", type=float, help="GKP envelope parameter")
-    p.add_argument("--eta", type=float, help="detector half-width (sqrt(pi)/eta must be integer)")
-    p.add_argument("--state", choices=["plus", "minus", "zero", "one"], help="which comb to read out")
-    p.set_defaults(func=cmd_readout)
+    p.add_argument("--eta", type=float, required=True, help="detector half-width (sqrt(pi)/eta must be integer)")
+    p.add_argument("--state", choices=list(_GKP_STATES), default="minus", help="which comb to read out")
 
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _config_flags(sub: argparse.ArgumentParser, path: str) -> list[str]:
+    """The JSON object in ``path`` as ``--flag=value`` arguments of the subcommand ``sub``, each
+    written as its flag would be: a list as a comma list, a string as is, anything else as JSON.
+    A null entry is left out, as an absent flag is."""
     try:
+        entries = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read config file {path}: {exc}") from None
+    if not isinstance(entries, dict):
+        raise ValidationError(f"config file {path} must hold a JSON object")
+    actions = {action.dest: action for action in sub._actions if action.dest not in ("help", "config")}
+    flags = []
+    for key, value in entries.items():
+        action = actions.get(key)
+        if action is None:
+            raise ValidationError(f"unknown config key {key!r}: {sub.prog} takes no --{key.replace('_', '-')}")
+        if value is None:
+            continue
+        if action.type in _NUMBERS and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ValidationError(f"{key} must be a JSON number, got {value!r}")
+        if isinstance(value, list):
+            text = ",".join(map(str, value))
+        else:
+            text = value if isinstance(value, str) else json.dumps(value)
+        flags.append(f"{action.option_strings[0]}={text}")
+    return flags
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    (commands,) = (action.choices for action in parser._actions if action.dest == "command")
+    try:
+        if argv and argv[0] in commands:
+            # --config is read first, so the file can hold required flags; then one full parse
+            pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+            pre.add_argument("--config")
+            config = pre.parse_known_args(argv[1:])[0].config
+            if config is not None:
+                argv = [argv[0], *_config_flags(commands[argv[0]], config), *argv[1:]]
+        args = parser.parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help, and the usage errors argparse reports itself
+        return exc.code
+    except argparse.ArgumentError as exc:
+        # name the destination, which is also the config-file key
+        key = (exc.argument_name or "").lstrip("-").replace("-", "_")
+        print(f"error: {key}: {exc.message}" if key else f"error: {exc.message}", file=sys.stderr)
+        return 2
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

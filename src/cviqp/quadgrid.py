@@ -29,9 +29,6 @@ from .errors import GridMismatchError, RepresentationError, ValidationError
 NORM_TOL = 1e-9
 EDGE_AMPLITUDE_WARN = 1e-8
 
-DEFAULT_N_POINTS = 4096
-DEFAULT_EXTENT = 40.0
-
 
 class GridSupportWarning(UserWarning):
     """A state carries non-negligible amplitude at the grid boundary."""

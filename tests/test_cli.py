@@ -12,6 +12,8 @@ import cviqp
 from cviqp.cli import main
 
 SQRT_PI = math.sqrt(math.pi)
+# error-correct on a small grid, without seed, trials or output
+EC_SMALL = ["error-correct", "--delta", "0.25", "--eta", str(SQRT_PI / 4), "--grid-points", "1024", "--extent", "64"]
 
 
 def read_rows(path: Path) -> tuple[dict, list[str], list[list[str]]]:
@@ -126,6 +128,16 @@ class TestFourierGadgetCommand:
         config, header, rows = read_rows(out)
         assert config["eta"] == "0.02"
         assert float(rows[0][header.index("eta")]) == 0.02
+
+
+    def test_config_file_run_matches_flag_run(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sigma": 0.1, "eta": [0.005, 0.01], "grid_points": 1024, "extent": 256.0}))
+        from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+        assert main(["fourier-gadget", "--config", str(cfg), "--out", str(from_file)]) == 0
+        flags = ["--sigma", "0.1", "--eta", "0.005,0.01", "--grid-points", "1024", "--extent", "256"]
+        assert main(["fourier-gadget", *flags, "--out", str(from_flags)]) == 0
+        assert from_file.read_bytes() == from_flags.read_bytes()
 
 
 class TestDeterminism:
@@ -255,6 +267,23 @@ class TestScalingCommand:
         assert float(rows[0][idx]) == pytest.approx(expected, rel=1e-9)
 
 
+    @pytest.mark.parametrize(
+        "flags, missing",
+        [(["--l", "3", "--eta", "0.01"], "--sigma"), (["--sigma", "0.1"], "--l, --eta")],
+    )
+    def test_partial_composed_set_exits_2(self, flags, missing, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["scaling", "--n", "1,10", *flags, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"missing {missing}" in capsys.readouterr().err
+
+    def test_composed_eta_is_one_value(self, tmp_path):
+        out = tmp_path / "x.csv"
+        argv = ["scaling", "--n", "1,10", "--l", "3", "--eta", "0.01,0.5", "--sigma", "0.1", "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+
+
 class TestDvCommand:
     def test_hadamard_gadget_frequencies(self, tmp_path):
         out = tmp_path / "dv.csv"
@@ -293,6 +322,16 @@ class TestDvCommand:
     def test_sampling_without_seed_exits_2(self, tmp_path):
         rc = main(["dv", "--mode", "hadamard-gadget", "--trials", "4", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+
+    def test_iqp_flag_matches_config_entry(self, tmp_path):
+        circuit = {"n_qubits": 2, "gates": [[[0, 1], math.pi / 4]], "postselect": [[1, -1]]}
+        cfg = tmp_path / "iqp.json"
+        cfg.write_text(json.dumps({"mode": "iqp", "iqp": circuit}))
+        from_file, from_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+        assert main(["dv", "--config", str(cfg), "--out", str(from_file)]) == 0
+        assert main(["dv", "--mode", "iqp", "--iqp", json.dumps(circuit), "--out", str(from_flag)]) == 0
+        assert from_file.read_bytes() == from_flag.read_bytes()
 
 
 class TestReadoutCommand:
@@ -367,6 +406,12 @@ class TestMalformedInput:
             {"delta": 0.25, "eta": SQRT_PI / 8, "delta_env": "x", "grid_points": 1024, "extent": 64.0},
             "delta_env",
         ),
+        "ec_negative_seed": (
+            "error-correct",
+            {"delta": 0.25, "eta": SQRT_PI / 4, "seed": -5, "grid_points": 1024, "extent": 64.0},
+            "seed",
+        ),
+        "dv_zero_trials": ("dv", {"mode": "hadamard-gadget", "trials": 0, "seed": 1}, "trials"),
     }
 
     @pytest.mark.parametrize("case", sorted(CONFIG_CASES))
@@ -378,6 +423,76 @@ class TestMalformedInput:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
         assert key in capsys.readouterr().err
+
+
+    # config entries that name no flag of the command, or a value outside the flag's choices
+    CONFIG_REJECTED = {
+        "fg_unknown_key": ("fourier-gadget", {"sigma": 0.1, "eta": 0.01, "gridpoints": 1024}, "gridpoints"),
+        "dv_postselect_choice": ("dv", {"mode": "hadamard-gadget", "postselect": "x", "trials": 5}, "postselect"),
+        "scaling_unused_key": ("scaling", {"n": [1, 10], "grid_points": 77}, "grid_points"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CONFIG_REJECTED))
+    def test_config_entry_outside_the_flags_exits_2(self, case, tmp_path, capsys):
+        command, config, key = self.CONFIG_REJECTED[case]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert key in capsys.readouterr().err
+
+    def test_malformed_file_value_fails_under_flag_override(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sigma": 0.1, "eta": 0.01, "grid_points": 1024, "extent": 256.0, "delta": "0.25"}))
+        out = tmp_path / "x.csv"
+        argv = ["fourier-gadget", "--config", str(cfg), "--input", "plus", "--delta", "0.25", "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+        assert "delta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scaling", "--grid-points", "77"],
+            ["fourier-gadget", "--sigma", "0.1", "--eta", "0.01", "--grid-points", "1024", "--extent", "256",
+             "--seed", "3"],
+            ["dv", "--seed", "1", "--extent", "5"],
+            ["readout", "--delta", "0.2", "--eta", str(SQRT_PI / 8), "--seed", "3"],
+        ],
+    )
+    def test_unused_flag_exits_2(self, argv, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            ([*EC_SMALL, "--seed", "-5"], "seed"),
+            ([*EC_SMALL, "--seed", "1", "--trials", "0"], "trials"),
+            (["dv", "--seed", "-1"], "seed"),
+            (["dv", "--seed", "1", "--trials", "-3"], "trials"),
+            (["dv", "--seed", "1", "--trials", "0"], "trials"),
+        ],
+    )
+    def test_negative_seed_or_no_trials_exits_2(self, argv, key, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert key in capsys.readouterr().err
+
+    def test_empty_comma_list_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["scaling", "--n", ",", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "n:" in capsys.readouterr().err
+
+    def test_usage_errors_and_help_return_their_status(self, capsys):
+        assert main(["scaling", "--bogus"]) == 2
+        assert "--bogus" in capsys.readouterr().err
+        assert main(["dv", "--help"]) == 0
+        assert "--mode" in capsys.readouterr().out
 
 
 class TestFaultToleranceRoot:
