@@ -63,6 +63,7 @@ from .gadgets import (
     apply_shift_noise,
     centered_mod_sqrt_pi,
     dv_hadamard_gadget,
+    dv_hadamard_trials,
     dv_iqp_circuit,
     error_corrected_fourier,
     fourier_gadget,

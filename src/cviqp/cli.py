@@ -27,7 +27,7 @@ from . import analysis
 from .errors import NumericalError, ValidationError
 from .gadgets import (
     ShiftNoise,
-    dv_hadamard_gadget,
+    dv_hadamard_trials,
     dv_iqp_circuit,
     fourier_gadget,
     gkp_error_correct,
@@ -81,12 +81,21 @@ def _int_at_least(low: int, name: str):
     return parse
 
 
+def _probability(text: str) -> float:
+    """An argparse type for a float strictly between 0 and 1."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise ValueError(text)
+    return value
+
+
+_probability.__name__ = "float in (0, 1)"  # argparse: "invalid float in (0, 1) value: '-1'"
 _floats = _comma_list(float)
 _ints = _comma_list(int)
 _seed = _int_at_least(0, "non-negative int")
 _trials = _int_at_least(1, "positive int")
 # flag types whose config-file values must be JSON numbers, not strings
-_NUMBERS = (int, float, _seed, _trials)
+_NUMBERS = (int, float, _seed, _trials, _probability)
 
 
 def _fmt(x) -> str:
@@ -272,12 +281,8 @@ def cmd_dv(args: argparse.Namespace) -> int:
         postselect = {"+": 1, "-": -1}.get(args.postselect)
         if postselect is None and args.seed is None:
             raise ValidationError("sampled hadamard-gadget runs need --seed")
-        psi = qubit_state(1.0, 0.0)
-        rows = []
-        for trial in range(args.trials):
-            seed = None if args.seed is None else args.seed + trial
-            _out, h, prob = dv_hadamard_gadget(psi, postselect=postselect, seed=seed)
-            rows.append([trial, h, prob])
+        runs = dv_hadamard_trials(qubit_state(1.0, 0.0), args.trials, postselect=postselect, seed=args.seed)
+        rows = [[trial, h, prob] for trial, (h, prob) in enumerate(runs)]
         _write_csv(args, ["trial", "h", "probability"], rows)
         return 0
     circuit = args.iqp
@@ -390,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--solve-ft-error",
         dest="solve_ft_error",
-        type=float,
+        type=_probability,
         help="target error probability per Fourier transform",
     )
 

@@ -17,8 +17,9 @@ kept(q) * meas_tilde(s - q), with meas_tilde the momentum transform of the
 measured mode, so slices and the full outcome distribution cost O(n log n)
 and no n x n array is built.  On self-dual grids (dq == dp) the transform is
 the grid FFT; on any other grid it is a chirp-z transform (Bluestein's
-algorithm).  The conditional ensemble is built as one array of rows, and
-the GKP correction shifts those rows in place with one batched displacement.
+algorithm).  The conditional ensemble is built as one array of rows.  The
+GKP correction does not shift those rows: it stays pending on the ensemble,
+whose readers apply it to the one vector each of them reads.
 The materialized two-mode path of the homodyne module computes the same
 numbers and serves as the brute-force oracle in the tests.
 
@@ -52,7 +53,7 @@ from .quadgrid import (
     normalized,
     to_momentum,
 )
-from .gates import _shift_rows, apply_fourier, displace_p, displace_q
+from .gates import apply_fourier, displace_p, displace_q
 from .states import GkpParams, gkp_plus, gkp_zero, squeezed_momentum
 
 SQRT_PI = math.sqrt(math.pi)
@@ -163,25 +164,32 @@ def _czt(x: np.ndarray, theta: float, j0: int, n_out: int, a0: int) -> np.ndarra
     return _chirp(theta, np.arange(n_out) + a0) * conv
 
 
+def _reversed_twice(x: np.ndarray) -> np.ndarray:
+    """x reversed, laid twice end to end: every circular reversed window is a slice."""
+    return np.concatenate((x[::-1], x[::-1]))
+
+
 def _slices(measured: ModeState, s_values: np.ndarray) -> Iterator[np.ndarray]:
     """meas_tilde(s - q_m) over the grid, one array per measured value s."""
     g = measured.grid
     n = g.n_points
     psi = measured.amplitudes
     if g.is_self_dual:
+        # slice i is tilde[(a + n/2 - i) % n]: a contiguous window of the
+        # reversed transform laid twice end to end
         on_grid = None
-        offsets = n // 2 - np.arange(n)
         for s in s_values:
             a = int(round((s + 0.5 * g.extent) / g.dq))
             eps = s - (-0.5 * g.extent + a * g.dq)
             if abs(eps) <= _ON_GRID_TOL * g.dq:
                 if on_grid is None:
-                    on_grid = to_momentum(measured).amplitudes
-                tilde = on_grid
+                    on_grid = _reversed_twice(to_momentum(measured).amplitudes)
+                doubled = on_grid
             else:
                 tilted = ModeState(g, Rep.POSITION, psi * np.exp(-1j * eps * g.points))
-                tilde = to_momentum(tilted).amplitudes
-            yield tilde[(a + offsets) % n]
+                doubled = _reversed_twice(to_momentum(tilted).amplitudes)
+            start = (n // 2 - 1 - a) % n
+            yield doubled[start : start + n]
         return
     q = g.points
     scale = g.dq / math.sqrt(2.0 * math.pi)
@@ -384,7 +392,8 @@ def gkp_error_correct(
     applied correction left a logical (+-sqrt(pi)) offset.
 
     Fixed outcomes win over the seeded sampler.  The returned ensemble is the
-    corrected data mode; the measured mode is gone.
+    corrected data mode, with the correction pending as its ``u``; the
+    measured mode is gone.
     """
     det.require_gkp_compatible()
     seq = np.random.SeedSequence(seed)
@@ -402,9 +411,10 @@ def gkp_error_correct(
     p_k = det.bin_center(k)
     correction = -centered_mod_sqrt_pi(p_k)
 
-    weights, rows, total = _condition(data_pos, anc_pos, det, k)
-    _shift_rows(rows, data_pos.grid, Rep.POSITION, correction)
-    corrected = ConditionalEnsemble(data_pos.grid, Rep.POSITION, weights, rows, total)
+    # the correction is left pending on the ensemble: its readers shift one vector, not every row
+    corrected = ConditionalEnsemble(
+        data_pos.grid, Rep.POSITION, *_condition(data_pos, anc_pos, det, k), u=correction
+    )
 
     diagnostics: dict[str, float] = {
         "measured_pk": p_k,
@@ -527,6 +537,31 @@ def qubit_state(alpha: complex, beta: complex) -> QubitState:
     return QubitState(1, v / n)
 
 
+def _hadamard_branches(psi: QubitState) -> tuple[tuple[float, np.ndarray], ...]:
+    """(probability, unnormalized output) of the Hadamard gadget's outcomes h = 0 and h = 1."""
+    if psi.n_qubits != 1:
+        raise ValidationError("the Hadamard gadget takes a single-qubit input")
+    a = psi.amplitudes
+    # joint amplitudes amp[x1, x2] of |psi> |+> after CZ
+    amp = np.outer(a, np.array([1.0, 1.0]) / math.sqrt(2.0))
+    amp[1, 1] *= -1.0
+    branches = []
+    for sign in (1.0, -1.0):
+        out = (amp[0, :] + sign * amp[1, :]) / math.sqrt(2.0)
+        branches.append((float(np.sum(np.abs(out) ** 2)), out))
+    return tuple(branches)
+
+
+def _hadamard_outcome(p0: float, postselect: int | None, seed: int | None) -> int:
+    """Outcome h: forced by ``postselect`` (+1 -> 0, -1 -> 1), else 0 when a seeded uniform draw is below p0."""
+    if postselect is not None:
+        if postselect not in (1, -1):
+            raise ValidationError("postselect must be +1 or -1")
+        return 0 if postselect == 1 else 1
+    u = float(np.random.default_rng(seed).random())
+    return 0 if u < p0 else 1
+
+
 def dv_hadamard_gadget(
     psi: QubitState,
     postselect: int | None = None,
@@ -539,27 +574,34 @@ def dv_hadamard_gadget(
     of the input.  ``postselect`` forces outcome +1 or -1; otherwise the
     outcome is sampled with the given seed.
     """
-    if psi.n_qubits != 1:
-        raise ValidationError("the Hadamard gadget takes a single-qubit input")
-    a = psi.amplitudes
-    # joint amplitudes amp[x1, x2] of |psi> |+> after CZ
-    amp = np.outer(a, np.array([1.0, 1.0]) / math.sqrt(2.0))
-    amp[1, 1] *= -1.0
-    branches = {}
-    for h, sign in ((0, 1.0), (1, -1.0)):
-        out = (amp[0, :] + sign * amp[1, :]) / math.sqrt(2.0)
-        branches[h] = (float(np.sum(np.abs(out) ** 2)), out)
-    if postselect is not None:
-        if postselect not in (1, -1):
-            raise ValidationError("postselect must be +1 or -1")
-        h = 0 if postselect == 1 else 1
-    else:
-        u = float(np.random.default_rng(seed).random())
-        h = 0 if u < branches[0][0] else 1
+    branches = _hadamard_branches(psi)
+    h = _hadamard_outcome(branches[0][0], postselect, seed)
     prob, out = branches[h]
     if prob <= 0.0:
         raise NumericalError("conditioning outcome has zero probability")
     return QubitState(1, out / math.sqrt(prob)), h, prob
+
+
+def dv_hadamard_trials(
+    psi: QubitState,
+    trials: int,
+    postselect: int | None = None,
+    seed: int | None = None,
+) -> list[tuple[int, float]]:
+    """(h, outcome probability) of ``trials`` Hadamard-gadget runs on psi.
+
+    Run t is ``dv_hadamard_gadget(psi, postselect, seed + t)`` (unseeded when
+    ``seed`` is None), with the two branches computed once for all runs.
+    """
+    branches = _hadamard_branches(psi)
+    runs = []
+    for trial in range(trials):
+        h = _hadamard_outcome(branches[0][0], postselect, None if seed is None else seed + trial)
+        prob = branches[h][0]
+        if prob <= 0.0:
+            raise NumericalError("conditioning outcome has zero probability")
+        runs.append((h, prob))
+    return runs
 
 
 def _hadamard_transform_all(amp: np.ndarray, n: int) -> np.ndarray:

@@ -18,7 +18,8 @@ Both regimes discretize the same continuum projector, and they agree where
 their domains overlap; the sample regime is additionally an exact partition
 of grid samples.  Conditioning on a pixel leaves the other mode in a mixture
 with one pure component per sample or node, held by ``ConditionalEnsemble``
-as a weight vector and one array with a normalized wavefunction per row.
+as a weight vector, one array with a normalized wavefunction per row, and a
+position shift still pending on every row.
 
 ``bin_probabilities`` and ``project_bin`` act on a materialized
 ``TwoModeState`` (n x n amplitudes).  The gadgets do not use them: their
@@ -30,6 +31,7 @@ compare that engine with.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -38,6 +40,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import GridMismatchError, NumericalError, ValidationError, ZeroMassBinError
+from .gates import _check_shift, _shift_rows, displace_q
 from .quadgrid import (
     ModeState,
     QuadratureGrid,
@@ -104,45 +107,69 @@ class DetectorParams:
 class ConditionalEnsemble:
     """Mixed post-measurement state of the unmeasured mode, as weighted pure rows.
 
-    Row i of ``components`` is a normalized wavefunction in ``rep`` on
-    ``grid``: the state left by one momentum sample (or quadrature node)
-    inside the measured pixel, and ``weights[i]`` is its probability mass.
-    ``total_probability`` is the probability of the pixel, the sum of the
-    weights.  Both arrays are read-only.
+    Row i of ``rows`` is a normalized wavefunction in ``rep`` on ``grid``: the
+    state left by one momentum sample (or quadrature node) inside the measured
+    pixel, and ``weights[i]`` is its probability mass.  ``total_probability``
+    is the probability of the pixel, the sum of the weights.
+
+    ``u`` is a position shift exp(-i u p) still pending on every row (the GKP
+    correction): the ensemble is the rows displaced by ``u``.  The readers
+    apply it where it costs one vector: :meth:`purity` does not change under
+    it, :meth:`principal_component` shifts the one vector it returns, and
+    :func:`ensemble_fidelity` shifts the target by ``-u``.  ``components`` is
+    the displaced rows, built on first access.  A shift of a quarter of the
+    grid extent or more is rejected here, as :func:`displace_q` rejects it.
+    All arrays are read-only.
     """
 
     grid: QuadratureGrid
     rep: Rep
     weights: np.ndarray
-    components: np.ndarray
+    rows: np.ndarray
     total_probability: float
+    u: float = 0.0
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.float64)
-        c = np.asarray(self.components, dtype=np.complex128)
+        c = np.asarray(self.rows, dtype=np.complex128)
         if w.ndim != 1 or len(w) == 0:
             raise ValidationError("ensemble must have at least one component")
         if c.shape != (len(w), self.grid.n_points):
             raise ValidationError(f"components have shape {c.shape}, expected ({len(w)}, n_points)")
+        if not math.isfinite(self.u):
+            raise ValidationError(f"pending shift must be finite, got {self.u}")
+        _check_shift(self.grid, self.u)
         w.flags.writeable = False
         c.flags.writeable = False
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "components", c)
+        object.__setattr__(self, "rows", c)
+
+    @functools.cached_property
+    def components(self) -> np.ndarray:
+        """The rows with the pending shift applied, one wavefunction per row."""
+        if self.u == 0.0:
+            return self.rows
+        shifted = self.rows.copy()
+        _shift_rows(shifted, self.grid, self.rep, self.u)
+        shifted.flags.writeable = False
+        return shifted
 
     def _overlaps(self) -> np.ndarray:
-        """Unscaled Gram matrix sum_j conj(a_ij) a_kj of the rows."""
-        return np.conj(self.components) @ self.components.T
+        """Unscaled Gram matrix sum_j conj(a_ij) a_kj of the rows (shift-invariant)."""
+        return np.conj(self.rows) @ self.rows.T
 
     def principal_component(self) -> ModeState:
         """Top eigenvector of the ensemble density operator (via the small Gram matrix)."""
         w = self.weights
         if len(w) == 1:
-            return ModeState(self.grid, self.rep, self.components[0])
-        spacing = self.grid.rep_spacing(self.rep)
-        gram = (np.sqrt(np.outer(w, w))) * self._overlaps() * spacing
-        evals, evecs = np.linalg.eigh(gram)
-        coeff = np.sqrt(w) * evecs[:, -1]
-        return normalized(ModeState(self.grid, self.rep, coeff @ self.components))
+            top = ModeState(self.grid, self.rep, self.rows[0])
+        else:
+            spacing = self.grid.rep_spacing(self.rep)
+            gram = (np.sqrt(np.outer(w, w))) * self._overlaps() * spacing
+            evals, evecs = np.linalg.eigh(gram)
+            coeff = np.sqrt(w) * evecs[:, -1]
+            top = normalized(ModeState(self.grid, self.rep, coeff @ self.rows))
+        return top if self.u == 0.0 else displace_q(top, self.u)
 
     def purity(self) -> float:
         """Tr[rho^2] / (Tr rho)^2 of the ensemble density operator."""
@@ -280,12 +307,19 @@ def project_bin(
 
 def ensemble_fidelity(ensemble: ConditionalEnsemble, target: ModeState) -> float:
     """<target| rho |target> / Tr rho: the weighted mean over the rows of
-    :func:`fidelity_pure` with ``target`` (each row renormalized likewise)."""
+    :func:`fidelity_pure` with ``target`` (each row renormalized likewise).
+
+    A pending shift u is applied to the target as -u, once, instead of to
+    every row."""
     if target.grid != ensemble.grid:
         raise GridMismatchError("states live on different grids")
     t = normalized(as_rep(target, ensemble.rep))
-    rows = ensemble.components
-    sq_norms = np.sum(np.abs(rows) ** 2, axis=1) * t.spacing
+    if ensemble.u != 0.0:
+        t = displace_q(t, -ensemble.u)
+    rows = ensemble.rows
+    # row norms from the real and imaginary views: no (m, n) temporary
+    sq_norms = np.einsum("ij,ij->i", rows.real, rows.real) + np.einsum("ij,ij->i", rows.imag, rows.imag)
+    sq_norms *= t.spacing
     overlaps = rows @ np.conj(t.amplitudes) * t.spacing
     fids = np.minimum(np.abs(overlaps) ** 2 / sq_norms, 1.0)
     w = ensemble.weights

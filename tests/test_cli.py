@@ -319,6 +319,25 @@ class TestDvCommand:
         assert dist["00"] == pytest.approx(0.5, abs=1e-12)
         assert dist["01"] == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("postselect", [None, "+", "-"])
+    def test_rows_are_per_trial_gadget_runs(self, postselect, tmp_path):
+        out = tmp_path / "dv.csv"
+        argv = ["dv", "--mode", "hadamard-gadget", "--trials", "300", "--seed", "11", "--out", str(out)]
+        if postselect is not None:
+            argv += ["--postselect", postselect]
+        assert main(argv) == 0
+        _config, header, rows = read_rows(out)
+        assert header == ["trial", "h", "probability"]
+        psi = cviqp.qubit_state(1.0, 0.0)
+        forced = {None: None, "+": 1, "-": -1}[postselect]
+        expected = []
+        for trial in range(300):
+            _out, h, prob = cviqp.dv_hadamard_gadget(psi, postselect=forced, seed=11 + trial)
+            expected.append([str(trial), str(h), format(prob, ".12g")])
+        assert rows == expected
+        if postselect is None:
+            assert {r[1] for r in rows} == {"0", "1"}
+
     def test_sampling_without_seed_exits_2(self, tmp_path):
         rc = main(["dv", "--mode", "hadamard-gadget", "--trials", "4", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
@@ -496,6 +515,23 @@ class TestMalformedInput:
 
 
 class TestFaultToleranceRoot:
+    @pytest.mark.parametrize("target", ["-1", "0", "1", "1.5", "nan"])
+    def test_target_outside_unit_interval_exits_2_before_any_output(self, target, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["scaling", "--n", "1,10", "--solve-ft-error", target, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "solve_ft_error" in captured.err
+        assert not out.exists()
+
+    def test_target_from_config_is_checked_like_the_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"solve_ft_error": -1}))
+        out = tmp_path / "x.csv"
+        assert main(["scaling", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
     def test_unreachable_target_exits_3_without_file(self, tmp_path):
         out = tmp_path / "x.csv"
         rc = main(["scaling", "--n", "1", "--solve-ft-error", "0.9", "--out", str(out)])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cviqp import gates, quadgrid
 from cviqp.errors import ValidationError
 from cviqp.gadgets import (
     ShiftNoise,
@@ -17,6 +18,7 @@ from cviqp.gadgets import (
 )
 from cviqp.gates import apply_cz, apply_fourier, displace_p, displace_q, tensor
 from cviqp.homodyne import (
+    ConditionalEnsemble,
     DetectorParams,
     bin_probabilities,
     ensemble_fidelity,
@@ -30,6 +32,7 @@ from cviqp.quadgrid import (
     make_grid,
     normalized,
     self_dual_grid,
+    to_momentum,
 )
 from cviqp.states import GkpParams, gkp_one, gkp_plus, gkp_zero, squeezed_momentum
 
@@ -383,6 +386,61 @@ class TestGkpErrorCorrect:
         data = gkp_plus(params, gc_grid)
         with pytest.raises(ValidationError):
             gkp_error_correct(data, params, ShiftNoise.none(), DetectorParams(eta=0.2), seed=0)
+
+
+class TestDeferredCorrection:
+    """gkp_error_correct leaves its correction pending on the ensemble (``u``)."""
+
+    @pytest.mark.parametrize("grid_name", sorted(ORACLE_GRIDS))
+    @pytest.mark.parametrize("m", [4, 12], ids=["sample", "sub_grid"])
+    def test_readers_match_an_ensemble_of_the_shifted_rows(self, grid_name, m):
+        grid = ORACLE_GRIDS[grid_name]
+        params = GkpParams.tied(0.35)
+        det = DetectorParams(eta=SQRT_PI / m)
+        clean = gkp_plus(params, grid)
+        rep = gkp_error_correct(displace_q(clean, 0.2), params, ShiftNoise.none(), det, seed=7)
+        ens = rep.output
+        assert ens.u == rep.diagnostics["applied_correction"] != 0.0
+        shifted = ConditionalEnsemble(grid, ens.rep, ens.weights, ens.components, ens.total_probability)
+        assert shifted.u == 0.0 and shifted.components is shifted.rows
+        for target in (clean, to_momentum(clean), displace_q(clean, 0.1), gkp_zero(params, grid)):
+            assert abs(ensemble_fidelity(ens, target) - ensemble_fidelity(shifted, target)) <= 1e-13
+        assert abs(ens.purity() - shifted.purity()) <= 1e-13
+        a = ens.principal_component().amplitudes
+        b = shifted.principal_component().amplitudes
+        phase = np.vdot(a, b) / abs(np.vdot(a, b))  # an eigenvector is fixed up to a phase
+        assert np.max(np.abs(phase * a - b)) <= 1e-13
+        with pytest.raises(ValueError):
+            ens.components[0, 0] = 0.0
+
+    def test_rows_transformed_do_not_grow_with_the_ensemble(self, gc_grid, monkeypatch):
+        # the correction shifts one target vector, not one vector per ensemble row
+        params = GkpParams.tied(0.2)
+        det = DetectorParams(eta=SQRT_PI / 8)
+        clean = gkp_plus(params, gc_grid)
+        data = displace_q(clean, 0.2)
+        original = quadgrid._transform
+        transformed = []
+
+        def counting(amplitudes, grid, rep, axis=-1):
+            transformed.append(np.size(amplitudes) // grid.n_points)
+            return original(amplitudes, grid, rep, axis)
+
+        for module in (quadgrid, gates):
+            monkeypatch.setattr(module, "_transform", counting)
+        rep = gkp_error_correct(data, params, ShiftNoise.none(), det, seed=4)
+        ensemble_fidelity(rep.output, clean)
+        assert rep.diagnostics["applied_correction"] != 0.0
+        assert len(rep.output.weights) > 10
+        assert sum(transformed) <= 6, transformed
+
+    @pytest.mark.parametrize("scale", [1.0, -1.0, 2.0, math.nan])
+    def test_quarter_extent_shift_rejected_when_built(self, scale):
+        grid = ORACLE_GRIDS["general"]
+        rows = np.ones((1, grid.n_points))
+        ConditionalEnsemble(grid, Rep.POSITION, [1.0], rows, 1.0, u=0.999 * grid.extent / 4)
+        with pytest.raises(ValidationError):
+            ConditionalEnsemble(grid, Rep.POSITION, [1.0], rows, 1.0, u=scale * grid.extent / 4)
 
 
 class TestErrorCorrectedFourier:
