@@ -17,8 +17,12 @@ kept(q) * meas_tilde(s - q), with meas_tilde the momentum transform of the
 measured mode, so slices and the full outcome distribution cost O(n log n)
 and no n x n array is built.  On self-dual grids (dq == dp) the transform is
 the grid FFT; on any other grid it is a chirp-z transform (Bluestein's
-algorithm).  The conditional ensemble is built as one array of rows.  The
-GKP correction does not shift those rows: it stays pending on the ensemble,
+algorithm).  The conditional ensemble is built as one array of rows, except
+on a self-dual grid in the sample regime: there every row is the kept mode
+times a window of one momentum transform, so the ensemble keeps those two
+factors, its weights are the windows' norms, and its fidelity with a target
+is one circular convolution; the rows are built only when a reader needs them.
+The GKP correction does not shift the rows: it stays pending on the ensemble,
 whose readers apply it to the one vector each of them reads.
 The materialized two-mode path of the homodyne module computes the same
 numbers and serves as the brute-force oracle in the tests.
@@ -41,8 +45,10 @@ from .homodyne import (
     ZERO_MASS_TOL,
     ConditionalEnsemble,
     DetectorParams,
+    PixelWindows,
     _gauss_legendre,
     _quad_nodes_per_bin,
+    _reversed_twice,
     ensemble_fidelity,
     sample_outcome,
 )
@@ -164,11 +170,6 @@ def _czt(x: np.ndarray, theta: float, j0: int, n_out: int, a0: int) -> np.ndarra
     return _chirp(theta, np.arange(n_out) + a0) * conv
 
 
-def _reversed_twice(x: np.ndarray) -> np.ndarray:
-    """x reversed, laid twice end to end: every circular reversed window is a slice."""
-    return np.concatenate((x[::-1], x[::-1]))
-
-
 def _slices(measured: ModeState, s_values: np.ndarray) -> Iterator[np.ndarray]:
     """meas_tilde(s - q_m) over the grid, one array per measured value s."""
     g = measured.grid
@@ -201,18 +202,29 @@ def _slices(measured: ModeState, s_values: np.ndarray) -> Iterator[np.ndarray]:
 
 def _condition(
     kept: ModeState, measured: ModeState, det: DetectorParams, k: int
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray | PixelWindows, float]:
     """Weights, position rows and total probability of the kept mode's ensemble
-    for pixel k of the measured mode after CZ, as writable arrays.
+    for pixel k of the measured mode after CZ.
 
     Sample regime: one row per grid sample that ``det.bin_of`` assigns to k,
-    the rule :func:`outcome_distribution` uses too.  Sub-grid regime: one row
-    per Gauss-Legendre node inside the pixel.
+    the rule :func:`outcome_distribution` uses too.  On a self-dual grid each
+    such row is a window of the measured mode's momentum transform, so the
+    rows stay factored as :class:`PixelWindows`; elsewhere they are a
+    writable array.  Sub-grid regime: one row per Gauss-Legendre node inside
+    the pixel.
     """
     g = measured.grid
     if det.sample_aligned(g):
-        p = g.momentum_points
-        nodes = p[det.bin_of(p) == k]
+        in_pixel = det.bin_of(g.momentum_points) == k
+        if g.is_self_dual:
+            transform = to_momentum(measured).amplitudes
+            windows = PixelWindows(g, kept.amplitudes, transform, np.nonzero(in_pixel)[0])
+            weights = windows.sq_norms() * g.dp
+            total = float(np.sum(weights))
+            if total < ZERO_MASS_TOL:
+                raise ZeroMassBinError(f"bin k={k} carries probability {total:.3e}")
+            return weights, windows, total
+        nodes = g.momentum_points[in_pixel]
         node_measure = np.full(len(nodes), g.dp)
     else:
         lo, hi = det.bin_interval(k)

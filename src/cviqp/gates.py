@@ -57,7 +57,17 @@ def _t_exponent(q: np.ndarray) -> np.ndarray:
 
 
 def apply_t(psi: ModeState) -> ModeState:
-    """Logical T on the GKP grid: exp(i pi/4 [2 (q/rt)^3 + (q/rt)^2 - 2 q/rt]), rt = sqrt(pi)."""
+    """Cubic phase gate exp(i pi/4 [2 u^3 + u^2 - 2 u]), u = q/sqrt(pi).
+
+    On ideal GKP states it is the logical T: the phase at u = m is a multiple
+    of 2 pi for even m and pi/4 more for odd m.  On finitely squeezed states it
+    is not.  It kicks the tooth at u sqrt(pi) by (sqrt(pi)/4)(6u^2 + 2u - 2) in
+    momentum, a half-lattice kick that grows as u^2 while the teeth number
+    ~1/delta, so the teeth never interfere as ideal teeth do and squeezing
+    more does not help (Hastrup et al., PRA 2021).  Measured: the X readout
+    of T|+> gives p_plus 0.72 at delta 0.25 and 0.15, against cos^2(pi/8) =
+    0.854 for a logical T.
+    """
     return apply_phase_function(psi, _t_exponent)
 
 

@@ -18,8 +18,12 @@ Both regimes discretize the same continuum projector, and they agree where
 their domains overlap; the sample regime is additionally an exact partition
 of grid samples.  Conditioning on a pixel leaves the other mode in a mixture
 with one pure component per sample or node, held by ``ConditionalEnsemble``
-as a weight vector, one array with a normalized wavefunction per row, and a
-position shift still pending on every row.
+as a weight vector, the normalized rows, and a position shift still pending
+on every row.  The rows are an array, or, for a sample-regime pixel of the
+gadgets on a self-dual grid, their two factors (``PixelWindows``): the kept
+mode and one momentum transform of the measured mode, of which each row
+reads a window.  The fidelity reads the factors; purity, principal component
+and ``components`` build the rows on first read.
 
 ``bin_probabilities`` and ``project_bin`` act on a materialized
 ``TwoModeState`` (n x n amplitudes).  The gadgets do not use them: their
@@ -103,7 +107,72 @@ class DetectorParams:
             )
 
 
+def _reversed_twice(x: np.ndarray) -> np.ndarray:
+    """x reversed, laid twice end to end: every circular reversed window is a slice."""
+    return np.concatenate((x[::-1], x[::-1]))
+
+
 @dataclass(frozen=True)
+class PixelWindows:
+    """The rows of a pixel ensemble held by their factors, on a self-dual grid.
+
+    After CZ, the momentum sample a of the measured mode leaves the kept mode
+    in kept[m] * W_a[m], with W_a[m] = transform[(a + n/2 - m) % n] and
+    ``transform`` the measured mode's momentum wavefunction: a window of one
+    array, selected by a.  Row i is that product for ``samples[i]``,
+    normalized.  Its squared norm (:meth:`sq_norms`) and its overlaps with a
+    target (:meth:`overlaps`) need only the factors; :meth:`build` makes the
+    rows, n complex numbers each.  Iterating yields the built rows.
+    """
+
+    grid: QuadratureGrid
+    kept: np.ndarray
+    transform: np.ndarray
+    samples: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.samples), self.grid.n_points)
+
+    def _starts(self) -> list[int]:
+        """Where each window starts in the reversed transform laid twice end to end."""
+        return ((self.grid.n_points // 2 - 1 - self.samples) % self.grid.n_points).tolist()
+
+    def __iter__(self):
+        return iter(self.build())
+
+    def sq_norms(self) -> np.ndarray:
+        """dq sum_m |kept[m] W_a[m]|^2 of each unnormalized row.
+
+        Each is a sum of non-negative terms, so it is exact to rounding relative
+        to itself, however small; the circular convolution of the outcome
+        masses rounds relative to the whole distribution instead.
+        """
+        n = self.grid.n_points
+        kept2 = np.abs(self.kept) ** 2
+        doubled2 = _reversed_twice(np.abs(self.transform) ** 2)
+        return np.array([np.dot(kept2, doubled2[s : s + n]) for s in self._starts()]) * self.grid.dq
+
+    def overlaps(self, target: np.ndarray) -> np.ndarray:
+        """dq sum_m conj(target[m]) kept[m] W_a[m] of each unnormalized row, for
+        position amplitudes ``target``: one circular convolution of
+        conj(target) * kept with the transform."""
+        n = self.grid.n_points
+        x = np.conj(target) * self.kept
+        conv = np.fft.ifft(np.fft.fft(x) * np.fft.fft(np.roll(self.transform, -(n // 2))))
+        return conv[self.samples] * self.grid.dq
+
+    def build(self) -> np.ndarray:
+        """The normalized rows, one (n,) position wavefunction per sample."""
+        n = self.grid.n_points
+        doubled = _reversed_twice(self.transform)
+        rows = np.empty(self.shape, dtype=np.complex128)
+        for row, start in zip(rows, self._starts()):
+            np.multiply(self.kept, doubled[start : start + n], out=row)
+            row /= math.sqrt(float(np.vdot(row, row).real * self.grid.dq))
+        return rows
+
+
 class ConditionalEnsemble:
     """Mixed post-measurement state of the unmeasured mode, as weighted pure rows.
 
@@ -112,6 +181,15 @@ class ConditionalEnsemble:
     pixel, and ``weights[i]`` is its probability mass.  ``total_probability``
     is the probability of the pixel, the sum of the weights.
 
+    ``rows`` is given either as an array or as :class:`PixelWindows`.  The
+    gadgets pass windows for a pixel of a self-dual grid in the sample regime,
+    where every row is a window of one transform; ``windows`` holds them, and
+    is None for an ensemble given an array.  Such an ensemble builds ``rows``
+    on the first read, n complex numbers per weight (45 x 65536 of them, 45
+    MiB, for the sampled pixel of a GKP correction on 65536 points), and keeps
+    them: :meth:`purity`, :meth:`principal_component` and ``components`` read
+    them, while :func:`ensemble_fidelity` reads only the factors.
+
     ``u`` is a position shift exp(-i u p) still pending on every row (the GKP
     correction): the ensemble is the rows displaced by ``u``.  The readers
     apply it where it costs one vector: :meth:`purity` does not change under
@@ -119,30 +197,49 @@ class ConditionalEnsemble:
     :func:`ensemble_fidelity` shifts the target by ``-u``.  ``components`` is
     the displaced rows, built on first access.  A shift of a quarter of the
     grid extent or more is rejected here, as :func:`displace_q` rejects it.
-    All arrays are read-only.
+    All arrays are read-only, and so are the attributes.
     """
 
-    grid: QuadratureGrid
-    rep: Rep
-    weights: np.ndarray
-    rows: np.ndarray
-    total_probability: float
-    u: float = 0.0
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        c = np.asarray(self.rows, dtype=np.complex128)
+    def __init__(
+        self,
+        grid: QuadratureGrid,
+        rep: Rep,
+        weights: np.ndarray,
+        rows: np.ndarray | PixelWindows,
+        total_probability: float,
+        u: float = 0.0,
+    ) -> None:
+        w = np.asarray(weights, dtype=np.float64)
         if w.ndim != 1 or len(w) == 0:
             raise ValidationError("ensemble must have at least one component")
-        if c.shape != (len(w), self.grid.n_points):
-            raise ValidationError(f"components have shape {c.shape}, expected ({len(w)}, n_points)")
-        if not math.isfinite(self.u):
-            raise ValidationError(f"pending shift must be finite, got {self.u}")
-        _check_shift(self.grid, self.u)
+        windows = rows if isinstance(rows, PixelWindows) else None
+        c = None if windows is not None else np.asarray(rows, dtype=np.complex128)
+        shape = c.shape if c is not None else windows.shape
+        if shape != (len(w), grid.n_points):
+            raise ValidationError(f"components have shape {shape}, expected ({len(w)}, n_points)")
+        if windows is not None and (windows.grid != grid or rep is not Rep.POSITION):
+            raise ValidationError("pixel windows hold position rows on their own grid")
+        if not math.isfinite(u):
+            raise ValidationError(f"pending shift must be finite, got {u}")
+        _check_shift(grid, u)
         w.flags.writeable = False
-        c.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "rows", c)
+        # __setattr__ refuses every attribute: fill the instance dict directly
+        vars(self).update(
+            grid=grid, rep=rep, weights=w, total_probability=total_probability, u=u, windows=windows
+        )
+        if c is not None:
+            c.flags.writeable = False
+            vars(self)["rows"] = c  # a given array takes the place of the built rows
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"ConditionalEnsemble is read-only: cannot set {name!r}")
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """The normalized rows, built from ``windows`` on first read."""
+        rows = self.windows.build()
+        rows.flags.writeable = False
+        return rows
 
     @functools.cached_property
     def components(self) -> np.ndarray:
@@ -310,19 +407,25 @@ def ensemble_fidelity(ensemble: ConditionalEnsemble, target: ModeState) -> float
     :func:`fidelity_pure` with ``target`` (each row renormalized likewise).
 
     A pending shift u is applied to the target as -u, once, instead of to
-    every row."""
+    every row.  An ensemble that holds :class:`PixelWindows` is read through
+    them: weight i is dp times the squared norm of kept * W_i, so the row
+    norms cancel and the sum is dp sum_i |<t|kept * W_i>|^2, one circular
+    convolution, without building the rows."""
     if target.grid != ensemble.grid:
         raise GridMismatchError("states live on different grids")
     t = normalized(as_rep(target, ensemble.rep))
     if ensemble.u != 0.0:
         t = displace_q(t, -ensemble.u)
+    w = ensemble.weights
+    if ensemble.windows is not None:
+        overlaps = ensemble.windows.overlaps(t.amplitudes)
+        return float(min(ensemble.grid.dp * np.sum(np.abs(overlaps) ** 2) / np.sum(w), 1.0))
     rows = ensemble.rows
     # row norms from the real and imaginary views: no (m, n) temporary
     sq_norms = np.einsum("ij,ij->i", rows.real, rows.real) + np.einsum("ij,ij->i", rows.imag, rows.imag)
     sq_norms *= t.spacing
     overlaps = rows @ np.conj(t.amplitudes) * t.spacing
     fids = np.minimum(np.abs(overlaps) ** 2 / sq_norms, 1.0)
-    w = ensemble.weights
     return float(np.dot(w, fids) / np.sum(w))
 
 

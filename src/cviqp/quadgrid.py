@@ -222,7 +222,7 @@ def _transform(amplitudes: np.ndarray, grid: QuadratureGrid, rep: Rep, axis: int
     n = grid.n_points
     shape = [1] * np.ndim(amplitudes)
     shape[axis] = n
-    s = np.where(np.arange(n) % 2, -1.0, 1.0).reshape(shape)
+    s = np.tile([1.0, -1.0], n // 2).reshape(shape)
     phase = complex((-1j) ** (n % 4))
     if rep is Rep.MOMENTUM:
         return phase * grid.dq / np.sqrt(2.0 * np.pi) * s * np.fft.fft(s * amplitudes, axis=axis)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -441,6 +442,28 @@ class TestDeferredCorrection:
         ConditionalEnsemble(grid, Rep.POSITION, [1.0], rows, 1.0, u=0.999 * grid.extent / 4)
         with pytest.raises(ValidationError):
             ConditionalEnsemble(grid, Rep.POSITION, [1.0], rows, 1.0, u=scale * grid.extent / 4)
+
+
+class TestFactoredEnsemble:
+    """On a self-dual grid in the sample regime the pixel rows stay factored."""
+
+    def test_correction_and_fidelity_do_not_build_the_rows(self):
+        # the benchmark's correction trial: the 45 x 65536 rows alone are 45 MiB
+        grid = self_dual_grid(65536)
+        clean = gkp_plus(GkpParams.tied(0.25), grid)
+        data = displace_q(clean, 0.2)
+        params = GkpParams.tied(0.05)
+        det = DetectorParams(eta=SQRT_PI / 8)
+        tracemalloc.start()
+        try:
+            rep = gkp_error_correct(data, params, ShiftNoise(0.0, 0.05), det, seed=3)
+            fid = ensemble_fidelity(rep.output, clean)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert len(rep.output.weights) > 40 and 0.0 < fid <= 1.0
+        assert rep.output.windows is not None and "rows" not in vars(rep.output)
 
 
 class TestErrorCorrectedFourier:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cviqp.errors import RepresentationError, ValidationError
+from cviqp.homodyne import DetectorParams, gkp_readout
 from cviqp.gates import (
     apply_cz,
     apply_fourier,
@@ -25,6 +26,7 @@ from cviqp.quadgrid import (
     norm,
     norm_two_mode,
     normalized,
+    self_dual_grid,
     to_momentum,
     transform_mode,
 )
@@ -103,6 +105,18 @@ class TestPhaseGates:
             ]
             assert before_mass[0] == pytest.approx(after_mass[0], abs=1e-10)
             assert before_mass[1] == pytest.approx(after_mass[1], abs=1e-10)
+
+    def test_t_gate_misses_the_logical_t_on_finite_gkp_states(self):
+        # A logical T takes |+> to an X readout of cos^2(pi/8) = 0.8536.  The
+        # cubic phase kicks the tooth at u sqrt(pi) by (sqrt(pi)/4)(6u^2 + 2u - 2)
+        # in momentum, a half-lattice kick growing as u^2, so the teeth of a
+        # finite-energy comb never interfere as ideal ones do (Hastrup et al.,
+        # PRA 2021).  Measured value: 0.7234 at delta 0.25, flat in delta.
+        grid = self_dual_grid(16384)
+        det = DetectorParams(eta=SQRT_PI / 8)
+        p_plus = gkp_readout(apply_t(gkp_plus(GkpParams.tied(0.25), grid)), det).p_plus
+        assert abs(p_plus - 0.7234) < 0.01
+        assert p_plus <= math.cos(math.pi / 8) ** 2 - 0.1
 
 
 class TestTensor:

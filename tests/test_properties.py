@@ -1,0 +1,73 @@
+"""Property-based checks: the product-input engine against the two-mode oracle.
+
+Each example draws a configuration and compares what the engine reports with
+``project_bin`` on the materialized state ``apply_cz(tensor(data, ancilla))``.
+Grids stay at 512 points or fewer, so the n x n oracle is cheap.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cviqp.gadgets import ShiftNoise, gkp_error_correct, outcome_distribution
+from cviqp.gates import apply_cz, tensor
+from cviqp.homodyne import ConditionalEnsemble, DetectorParams, ensemble_fidelity, project_bin
+from cviqp.quadgrid import Rep, as_rep, self_dual_grid
+from cviqp.states import MIN_SAMPLES_PER_STD, GkpParams, gkp_plus, squeezed_momentum
+
+from conftest import random_smooth_state
+
+SQRT_PI = math.sqrt(math.pi)
+
+
+@st.composite
+def mode_states(draw, grid):
+    """A squeezed vacuum, a GKP comb or a random smooth state, resolvable on ``grid``."""
+    kind = draw(st.sampled_from(["squeezed", "gkp", "smooth"]))
+    finest = 1.01 * MIN_SAMPLES_PER_STD * grid.dq  # dq == dp on a self-dual grid, up to rounding
+    if kind == "squeezed":
+        return squeezed_momentum(draw(st.floats(finest, 1.0 / finest)), grid)
+    if kind == "gkp":
+        return gkp_plus(GkpParams.tied(draw(st.floats(finest, 1.0))), grid)
+    return random_smooth_state(grid, seed=draw(st.integers(0, 2**16)))
+
+
+@st.composite
+def self_dual_pixels(draw):
+    """(data, ancilla, detector, pixel) on a self-dual grid in the sample regime."""
+    grid = self_dual_grid(draw(st.sampled_from([128, 256, 512])))
+    m = draw(st.integers(1, int(SQRT_PI / (2.0 * grid.dp))))  # eta = sqrt(pi)/m >= 2 dp
+    det = DetectorParams(eta=SQRT_PI / m)
+    data = draw(mode_states(grid))
+    ancilla = draw(mode_states(grid))
+    dist = outcome_distribution(data, ancilla, det)
+    k = draw(st.sampled_from([k for k, p in dist.items() if p > 1e-6]))
+    return data, ancilla, det, k
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(self_dual_pixels())
+def test_factored_ensemble_matches_the_oracle(case):
+    data, ancilla, det, k = case
+    rep = gkp_error_correct(
+        data, GkpParams.tied(0.5), ShiftNoise.none(), det, fixed_outcome_k=k, ancilla_state=ancilla
+    )
+    ens = rep.output
+    oracle = project_bin(apply_cz(tensor(data, ancilla)), 2, k, det)
+    assert ens.windows is not None
+    assert rep.success_probability == ens.total_probability
+    assert len(ens.weights) == len(oracle.weights)
+    assert np.max(np.abs(ens.weights - oracle.weights)) <= 1e-13
+    # rows read lazily, compared as they enter rho: a row of negligible weight,
+    # normalized, carries the oracle's rounding magnified by 1/sqrt(weight)
+    scaled = np.sqrt(ens.weights)[:, np.newaxis] * ens.rows
+    assert np.max(np.abs(scaled - np.sqrt(oracle.weights)[:, np.newaxis] * oracle.rows)) <= 1e-12
+
+    shifted = ConditionalEnsemble(
+        oracle.grid, oracle.rep, oracle.weights, oracle.rows, oracle.total_probability, u=ens.u
+    )
+    for target in (data, as_rep(ancilla, Rep.MOMENTUM)):
+        assert abs(ensemble_fidelity(ens, target) - ensemble_fidelity(shifted, target)) <= 1e-13
+    assert abs(ens.purity() - oracle.purity()) <= 1e-13
