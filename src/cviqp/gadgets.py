@@ -20,10 +20,12 @@ the grid FFT; on any other grid it is a chirp-z transform (Bluestein's
 algorithm).  The conditional ensemble is built as one array of rows, except
 on a self-dual grid in the sample regime: there every row is the kept mode
 times a window of one momentum transform, so the ensemble keeps those two
-factors, its weights are the windows' norms, and its fidelity with a target
-is one circular convolution; the rows are built only when a reader needs them.
-The GKP correction does not shift the rows: it stays pending on the ensemble,
-whose readers apply it to the one vector each of them reads.
+factors, its weights and its overlaps with a target are one dot per window,
+and the rows are built only when a reader needs them.  The GKP correction
+stays pending on the ensemble, whose readers apply it to the one vector each
+of them reads.  A correction trial there takes six FFTs, fidelity included:
+one ancilla transform, three real FFTs for the outcome masses and two for the
+pending shift of the target.
 The materialized two-mode path of the homodyne module computes the same
 numbers and serves as the brute-force oracle in the tests.
 
@@ -59,7 +61,7 @@ from .quadgrid import (
     normalized,
     to_momentum,
 )
-from .gates import apply_fourier, displace_p, displace_q
+from .gates import _unit_phase, apply_fourier, displace_p, displace_q
 from .states import GkpParams, gkp_plus, gkp_zero, squeezed_momentum
 
 SQRT_PI = math.sqrt(math.pi)
@@ -144,7 +146,6 @@ class GadgetReport:
 # circle (2.7e-10 relative on a 4096-point pixel probability, against 7e-16
 # for chirps built from real phases with exact integer k^2).
 
-_ON_GRID_TOL = 1e-9  # node offsets below this many dq count as on-grid samples
 _CZT_BATCH_POINTS = 1 << 22  # bounds the (nodes x 2n) transform buffer
 
 
@@ -176,19 +177,14 @@ def _slices(measured: ModeState, s_values: np.ndarray) -> Iterator[np.ndarray]:
     n = g.n_points
     psi = measured.amplitudes
     if g.is_self_dual:
-        # slice i is tilde[(a + n/2 - i) % n]: a contiguous window of the
+        # slice i is tilde[(a + n/2 - i) % n], with tilde the transform of psi tilted
+        # by the node's offset eps from sample a: a contiguous window of the
         # reversed transform laid twice end to end
-        on_grid = None
         for s in s_values:
             a = int(round((s + 0.5 * g.extent) / g.dq))
             eps = s - (-0.5 * g.extent + a * g.dq)
-            if abs(eps) <= _ON_GRID_TOL * g.dq:
-                if on_grid is None:
-                    on_grid = _reversed_twice(to_momentum(measured).amplitudes)
-                doubled = on_grid
-            else:
-                tilted = ModeState(g, Rep.POSITION, psi * np.exp(-1j * eps * g.points))
-                doubled = _reversed_twice(to_momentum(tilted).amplitudes)
+            tilted = ModeState(g, Rep.POSITION, psi * _unit_phase(-eps * g.points))
+            doubled = _reversed_twice(to_momentum(tilted).amplitudes)
             start = (n // 2 - 1 - a) % n
             yield doubled[start : start + n]
         return
@@ -201,23 +197,23 @@ def _slices(measured: ModeState, s_values: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def _condition(
-    kept: ModeState, measured: ModeState, det: DetectorParams, k: int
+    kept: ModeState, measured: ModeState, det: DetectorParams, k: int, transform: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | PixelWindows, float]:
     """Weights, position rows and total probability of the kept mode's ensemble
     for pixel k of the measured mode after CZ.
 
     Sample regime: one row per grid sample that ``det.bin_of`` assigns to k,
     the rule :func:`outcome_distribution` uses too.  On a self-dual grid each
-    such row is a window of the measured mode's momentum transform, so the
-    rows stay factored as :class:`PixelWindows`; elsewhere they are a
-    writable array.  Sub-grid regime: one row per Gauss-Legendre node inside
-    the pixel.
+    such row is a window of the measured mode's momentum transform (given as
+    ``transform``, or computed), so the rows stay factored as
+    :class:`PixelWindows`; elsewhere they are a writable array.  Sub-grid
+    regime: one row per Gauss-Legendre node inside the pixel.
     """
     g = measured.grid
     if det.sample_aligned(g):
         in_pixel = det.bin_of(g.momentum_points) == k
         if g.is_self_dual:
-            transform = to_momentum(measured).amplitudes
+            transform = to_momentum(measured).amplitudes if transform is None else transform
             windows = PixelWindows(g, kept.amplitudes, transform, np.nonzero(in_pixel)[0])
             weights = windows.sq_norms() * g.dp
             total = float(np.sum(weights))
@@ -274,20 +270,6 @@ def _density_on_lattice(
     return np.maximum(series.real * (dq**3 / math.pi), 0.0)
 
 
-def _circular_sample_masses(kept: ModeState, measured: ModeState) -> np.ndarray:
-    """Per-sample outcome masses on a self-dual grid, as a circular convolution.
-
-    masses[a] = dp * dq * sum_m |kept_m|^2 |meas_tilde(p_a - q_m)|^2.
-    """
-    g = measured.grid
-    n = g.n_points
-    t = np.abs(to_momentum(measured).amplitudes) ** 2
-    w = np.abs(kept.amplitudes) ** 2
-    u = np.roll(t, -(n // 2))
-    conv = np.fft.ifft(np.fft.fft(w) * np.fft.fft(u)).real
-    return np.maximum(conv, 0.0) * g.dp * g.dq
-
-
 def outcome_distribution(
     data: ModeState, ancilla: ModeState, det: DetectorParams
 ) -> dict[int, float]:
@@ -301,16 +283,24 @@ def outcome_distribution(
     the outcome density over each pixel, on the pixel range where the
     sample-lattice density has mass.
     """
-    if data.grid != ancilla.grid:
+    return _outcome_distribution(as_rep(data, Rep.POSITION), as_rep(ancilla, Rep.POSITION), det)
+
+
+def _outcome_distribution(
+    kept: ModeState, measured: ModeState, det: DetectorParams, transform: np.ndarray | None = None
+) -> dict[int, float]:
+    """:func:`outcome_distribution` of position states; ``transform`` as in :func:`_condition`."""
+    if kept.grid != measured.grid:
         raise ValidationError("data and ancilla must live on the same grid")
-    kept = as_rep(data, Rep.POSITION)
-    measured = as_rep(ancilla, Rep.POSITION)
     g = measured.grid
     n = g.n_points
     bins = det.bin_of(g.momentum_points)
     coeffs = None
     if g.is_self_dual:
-        masses = _circular_sample_masses(kept, measured)
+        # masses[a] = dp dq sum_m |kept_m|^2 |meas_tilde(p_a - q_m)|^2, a circular convolution
+        t = np.abs(to_momentum(measured).amplitudes if transform is None else transform) ** 2
+        spec = np.fft.rfft(np.abs(kept.amplitudes) ** 2) * np.fft.rfft(np.roll(t, -(n // 2)))
+        masses = np.maximum(np.fft.irfft(spec, n), 0.0) * g.dp * g.dq
     else:
         coeffs = _density_coefficients(kept, measured)
         masses = g.dp * _density_on_lattice(coeffs, g.dq, np.zeros(1), g.dp, -(n // 2), n)[0]
@@ -415,17 +405,21 @@ def gkp_error_correct(
     ancilla, (u2, v2) = apply_shift_noise(ancilla, ancilla_noise, seed=noise_seed)
     data_pos = as_rep(data, Rep.POSITION)
     anc_pos = as_rep(ancilla, Rep.POSITION)
+    # one ancilla transform serves the outcome masses and the pixel windows, where they read it
+    g = anc_pos.grid
+    reads_transform = g.is_self_dual and (fixed_outcome_k is None or det.sample_aligned(g))
+    transform = to_momentum(anc_pos).amplitudes if reads_transform else None
 
     if fixed_outcome_k is not None:
         k = fixed_outcome_k
     else:
-        k = sample_outcome(outcome_distribution(data_pos, anc_pos, det), outcome_seed)
+        k = sample_outcome(_outcome_distribution(data_pos, anc_pos, det, transform), outcome_seed)
     p_k = det.bin_center(k)
     correction = -centered_mod_sqrt_pi(p_k)
 
     # the correction is left pending on the ensemble: its readers shift one vector, not every row
     corrected = ConditionalEnsemble(
-        data_pos.grid, Rep.POSITION, *_condition(data_pos, anc_pos, det, k), u=correction
+        g, Rep.POSITION, *_condition(data_pos, anc_pos, det, k, transform), u=correction
     )
 
     diagnostics: dict[str, float] = {

@@ -38,12 +38,20 @@ _CZ_BLOCK_ROWS = 512  # bounds the transient phase-matrix allocation
 _SHIFT_BLOCK_POINTS = 1 << 18  # bounds the transient transform buffers of a shift
 
 
+def _unit_phase(x: np.ndarray) -> np.ndarray:
+    """exp(i x) for real x, bitwise: cos and sin written into one complex array."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty(x.shape, dtype=np.complex128)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
+
+
 def apply_phase_function(psi: ModeState, f: Callable[[np.ndarray], np.ndarray]) -> ModeState:
     """Apply the position-diagonal gate exp(i f(q)): a_j <- exp(i f(q_j)) a_j."""
     if psi.rep is not Rep.POSITION:
         raise RepresentationError("phase gates act in the position representation")
-    phase = np.exp(1j * np.asarray(f(psi.coordinates), dtype=float))
-    return ModeState(psi.grid, Rep.POSITION, phase * psi.amplitudes)
+    return ModeState(psi.grid, Rep.POSITION, _unit_phase(f(psi.coordinates)) * psi.amplitudes)
 
 
 def apply_z(psi: ModeState) -> ModeState:
@@ -131,30 +139,29 @@ def _shift_rows(rows: np.ndarray, grid: QuadratureGrid, rep: Rep, u: float) -> N
 
     Position rows go to momentum and back a few at a time, bounding the copies.
     """
-    _check_shift(grid, u)
-    kick = np.exp(-1j * u * grid.momentum_points)
+    _check_shift(grid.extent, u)
+    kick = _unit_phase(-u * grid.momentum_points)
     if rep is Rep.MOMENTUM:
         np.multiply(kick, rows, out=rows)
         return
     block = max(1, _SHIFT_BLOCK_POINTS // grid.n_points)
     for lo in range(0, len(rows), block):
         phi = _transform(rows[lo : lo + block], grid, Rep.MOMENTUM)
-        rows[lo : lo + block] = _transform(kick * phi, grid, Rep.POSITION)
+        rows[lo : lo + block] = _transform(np.multiply(kick, phi, out=phi), grid, Rep.POSITION)
 
 
 def displace_p(psi: ModeState, v: float) -> ModeState:
     """Momentum kick exp(-i v q): multiplies the position wavefunction by exp(-i v q)."""
-    _check_shift(psi.grid, v)
-    original_rep = psi.rep
+    _check_shift(psi.grid.momentum_extent, v)
     pos = as_rep(psi, Rep.POSITION)
-    kicked = ModeState(pos.grid, Rep.POSITION, np.exp(-1j * v * pos.grid.points) * pos.amplitudes)
-    return as_rep(kicked, original_rep)
+    kicked = ModeState(pos.grid, Rep.POSITION, _unit_phase(-v * pos.grid.points) * pos.amplitudes)
+    return as_rep(kicked, psi.rep)
 
 
-def _check_shift(grid: QuadratureGrid, shift: float) -> None:
-    limit = grid.extent / 4.0
-    if abs(shift) >= limit:
+def _check_shift(extent: float, shift: float) -> None:
+    limit = extent / 4.0
+    if not abs(shift) < limit:  # NaN fails too
         raise ValidationError(
-            f"shift {shift} exceeds a quarter of the grid extent ({limit}); "
+            f"shift {shift} is not below a quarter of the axis extent ({limit}); "
             "the displaced state would wrap around"
         )

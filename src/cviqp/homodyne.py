@@ -121,7 +121,7 @@ class PixelWindows:
     ``transform`` the measured mode's momentum wavefunction: a window of one
     array, selected by a.  Row i is that product for ``samples[i]``,
     normalized.  Its squared norm (:meth:`sq_norms`) and its overlaps with a
-    target (:meth:`overlaps`) need only the factors; :meth:`build` makes the
+    target (:meth:`overlaps`) are one dot per window; :meth:`build` makes the
     rows, n complex numbers each.  Iterating yields the built rows.
     """
 
@@ -141,6 +141,12 @@ class PixelWindows:
     def __iter__(self):
         return iter(self.build())
 
+    def _window_dots(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """dq sum_m x[m] y[(a + n/2 - m) % n] for each sample a: one dot per window."""
+        n = self.grid.n_points
+        doubled = _reversed_twice(y)
+        return np.array([np.dot(x, doubled[s : s + n]) for s in self._starts()]) * self.grid.dq
+
     def sq_norms(self) -> np.ndarray:
         """dq sum_m |kept[m] W_a[m]|^2 of each unnormalized row.
 
@@ -148,19 +154,13 @@ class PixelWindows:
         to itself, however small; the circular convolution of the outcome
         masses rounds relative to the whole distribution instead.
         """
-        n = self.grid.n_points
-        kept2 = np.abs(self.kept) ** 2
-        doubled2 = _reversed_twice(np.abs(self.transform) ** 2)
-        return np.array([np.dot(kept2, doubled2[s : s + n]) for s in self._starts()]) * self.grid.dq
+        return self._window_dots(np.abs(self.kept) ** 2, np.abs(self.transform) ** 2)
 
     def overlaps(self, target: np.ndarray) -> np.ndarray:
         """dq sum_m conj(target[m]) kept[m] W_a[m] of each unnormalized row, for
-        position amplitudes ``target``: one circular convolution of
-        conj(target) * kept with the transform."""
-        n = self.grid.n_points
-        x = np.conj(target) * self.kept
-        conv = np.fft.ifft(np.fft.fft(x) * np.fft.fft(np.roll(self.transform, -(n // 2))))
-        return conv[self.samples] * self.grid.dq
+        position amplitudes ``target``; like :meth:`sq_norms`, each is exact to
+        rounding relative to its own row."""
+        return self._window_dots(np.conj(target) * self.kept, self.transform)
 
     def build(self) -> np.ndarray:
         """The normalized rows, one (n,) position wavefunction per sample."""
@@ -188,7 +188,7 @@ class ConditionalEnsemble:
     on the first read, n complex numbers per weight (45 x 65536 of them, 45
     MiB, for the sampled pixel of a GKP correction on 65536 points), and keeps
     them: :meth:`purity`, :meth:`principal_component` and ``components`` read
-    them, while :func:`ensemble_fidelity` reads only the factors.
+    them, while :func:`ensemble_fidelity` reads the factors, a dot per row.
 
     ``u`` is a position shift exp(-i u p) still pending on every row (the GKP
     correction): the ensemble is the rows displaced by ``u``.  The readers
@@ -219,9 +219,7 @@ class ConditionalEnsemble:
             raise ValidationError(f"components have shape {shape}, expected ({len(w)}, n_points)")
         if windows is not None and (windows.grid != grid or rep is not Rep.POSITION):
             raise ValidationError("pixel windows hold position rows on their own grid")
-        if not math.isfinite(u):
-            raise ValidationError(f"pending shift must be finite, got {u}")
-        _check_shift(grid, u)
+        _check_shift(grid.extent, u)
         w.flags.writeable = False
         # __setattr__ refuses every attribute: fill the instance dict directly
         vars(self).update(
@@ -409,8 +407,8 @@ def ensemble_fidelity(ensemble: ConditionalEnsemble, target: ModeState) -> float
     A pending shift u is applied to the target as -u, once, instead of to
     every row.  An ensemble that holds :class:`PixelWindows` is read through
     them: weight i is dp times the squared norm of kept * W_i, so the row
-    norms cancel and the sum is dp sum_i |<t|kept * W_i>|^2, one circular
-    convolution, without building the rows."""
+    norms cancel and the sum is dp sum_i |<t|kept * W_i>|^2, one window dot
+    per row, without building the rows."""
     if target.grid != ensemble.grid:
         raise GridMismatchError("states live on different grids")
     t = normalized(as_rep(target, ensemble.rep))

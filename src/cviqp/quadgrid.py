@@ -216,18 +216,19 @@ def _transform(amplitudes: np.ndarray, grid: QuadratureGrid, rep: Rep, axis: int
     To momentum: phi(p_k) = (2*pi)^(-1/2) * sum_j exp(-i p_k q_j) psi(q_j) * dq,
     evaluated exactly by an FFT; to position: its inverse (the +i kernel).
     The half-extent offsets of both grids become alternating signs,
-    exp(-i p_k q_j) = (-i)^n (-1)^j (-1)^k exp(-2i pi j k / n).  Every other
-    axis is a batch axis.
+    exp(-i p_k q_j) = (-i)^n (-1)^j (-1)^k exp(-2i pi j k / n), with (-i)^n = 1
+    as 4 divides n.  Every other axis is a batch axis.
     """
     n = grid.n_points
     shape = [1] * np.ndim(amplitudes)
     shape[axis] = n
     s = np.tile([1.0, -1.0], n // 2).reshape(shape)
-    phase = complex((-1j) ** (n % 4))
-    if rep is Rep.MOMENTUM:
-        return phase * grid.dq / np.sqrt(2.0 * np.pi) * s * np.fft.fft(s * amplitudes, axis=axis)
-    scale = np.conj(phase) * grid.dp * n / np.sqrt(2.0 * np.pi)
-    return scale * s * np.fft.ifft(s * amplitudes, axis=axis)
+    fft, scale = (np.fft.fft, grid.dq) if rep is Rep.MOMENTUM else (np.fft.ifft, grid.dp * n)
+    out = s * amplitudes
+    fft(out, axis=axis, out=out)
+    out *= s
+    out *= scale / np.sqrt(2.0 * np.pi)
+    return out
 
 
 def to_momentum(psi: ModeState) -> ModeState:

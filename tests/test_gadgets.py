@@ -465,6 +465,27 @@ class TestFactoredEnsemble:
         assert len(rep.output.weights) > 40 and 0.0 < fid <= 1.0
         assert rep.output.windows is not None and "rows" not in vars(rep.output)
 
+    def test_correction_trial_fft_budget(self, monkeypatch):
+        # one ancilla transform, three real FFTs for the outcome masses, two for the
+        # pending shift of the target; window dots, not FFTs, give the overlaps
+        grid = self_dual_grid(65536)
+        clean = gkp_plus(GkpParams.tied(0.25), grid)
+        data = displace_q(clean, 0.5)
+        det = DetectorParams(eta=SQRT_PI / 8)
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+
+            def counting(*args, _name=name, _original=getattr(np.fft, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counting)
+        rep = gkp_error_correct(data, GkpParams.tied(0.05), ShiftNoise(0.0, 0.05), det, seed=3)
+        ensemble_fidelity(rep.output, clean)
+        assert rep.outcome_k == -3 and rep.output.u != 0.0
+        assert len(calls) <= 6, calls
+        assert sum(name in ("fft", "ifft") for name in calls) <= 3, calls
+
 
 class TestErrorCorrectedFourier:
     def test_corrects_input_momentum_errors(self, gc_grid):

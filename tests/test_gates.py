@@ -28,6 +28,7 @@ from cviqp.quadgrid import (
     normalized,
     self_dual_grid,
     to_momentum,
+    to_position,
     transform_mode,
 )
 from cviqp.states import GkpParams, gkp_plus, gkp_zero, squeezed_momentum
@@ -269,3 +270,40 @@ class TestDisplacements:
         out = displace_p(psi, 0.8)
         expected = np.exp(-0.8j * grid_small.points) * psi.amplitudes
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
+
+    def test_momentum_kick_limit_is_a_quarter_of_the_momentum_extent(self):
+        # momentum extent P = n dp = 100.5 on both grids; position extents 256 and 64
+        wide = make_grid(4096, 256.0)
+        with pytest.raises(ValidationError):
+            displace_p(vacuum(wide), 49.0)  # beyond P/4 = 25.1: the kicked state would wrap
+        narrow = make_grid(1024, 64.0)
+        phi = to_momentum(displace_p(vacuum(narrow), 20.0))  # inside P/4, beyond L/4 = 16
+        mean_p = float(np.sum(phi.density() * narrow.momentum_points) * narrow.dp)
+        assert abs(mean_p + 20.0) < 1e-9
+        assert max(abs(phi.amplitudes[0]), abs(phi.amplitudes[-1])) < 1e-12
+
+
+@pytest.mark.parametrize("grid", [make_grid(256, 30.0), self_dual_grid(1024)], ids=["general", "self_dual"])
+class TestUnitPhaseValues:
+    """The gates build exp(i x) from cos and sin; the values are those of np.exp(1j * x)."""
+
+    def test_displace_p(self, grid):
+        psi = random_dense_state(grid, seed=40)
+        for v in (0.8, -1.37, 3.1):
+            expected = np.exp(-1j * v * grid.points) * psi.amplitudes
+            assert np.array_equal(displace_p(psi, v).amplitudes, expected)
+
+    def test_displace_q(self, grid):
+        psi = random_dense_state(grid, seed=41)
+        for u in (0.8, -1.37, SQRT_PI):
+            kicked = np.exp(-1j * u * grid.momentum_points) * to_momentum(psi).amplitudes
+            expected = to_position(ModeState(grid, Rep.MOMENTUM, kicked))
+            assert np.array_equal(displace_q(psi, u).amplitudes, expected.amplitudes)
+            phi = to_momentum(psi)
+            assert np.array_equal(displace_q(phi, u).amplitudes, kicked)
+
+    def test_apply_phase_function(self, grid):
+        psi = random_dense_state(grid, seed=42)
+        for f in (lambda q: 0.3 * q**2, lambda q: np.sqrt(np.pi) * q, lambda q: 40.0 * q**3):
+            expected = np.exp(1j * f(grid.points)) * psi.amplitudes
+            assert np.array_equal(apply_phase_function(psi, f).amplitudes, expected)

@@ -8,6 +8,7 @@ from cviqp.quadgrid import (
     ModeState,
     Rep,
     TwoModeState,
+    _transform,
     fidelity_pure,
     inner_product,
     make_grid,
@@ -173,6 +174,34 @@ class TestTransforms:
             assert np.array_equal(to_momentum(ModeState(grid, Rep.POSITION, pos_j)).amplitudes, mom_j)
             back_j = to_position(ModeState(grid, Rep.MOMENTUM, mom_j)).amplitudes
             assert np.array_equal(back_j, np.take(back.amplitudes, j, axis=other_axis))
+
+
+class TestTransformValues:
+    """_transform scales and signs the FFT output in place; the values are the textbook ones."""
+
+    @staticmethod
+    def textbook(a, grid, rep, axis):
+        n = grid.n_points
+        shape = [1] * a.ndim
+        shape[axis] = n
+        s = np.where(np.arange(n) % 2, -1.0, 1.0).reshape(shape)
+        phase = complex((-1j) ** (n % 4))
+        if rep is Rep.MOMENTUM:
+            return phase * grid.dq / np.sqrt(2.0 * np.pi) * s * np.fft.fft(s * a, axis=axis)
+        return np.conj(phase) * grid.dp * n / np.sqrt(2.0 * np.pi) * s * np.fft.ifft(s * a, axis=axis)
+
+    @pytest.mark.parametrize("grid", [make_grid(256, 30.0), self_dual_grid(1024)], ids=["general", "self_dual"])
+    @pytest.mark.parametrize("rep", [Rep.MOMENTUM, Rep.POSITION])
+    @pytest.mark.parametrize("shape, axis", [((1,), -1), ((1, 3), 0), ((3, 1), -1)], ids=["1d", "axis0", "axis-1"])
+    def test_equals_the_textbook_transform(self, grid, rep, shape, axis):
+        rng = np.random.default_rng(31)
+        # 1 in ``shape`` marks the transformed axis, of length n
+        full = tuple(grid.n_points if d == 1 else d for d in shape)
+        a = rng.normal(size=full) + 1j * rng.normal(size=full)
+        before = a.copy()
+        out = _transform(a, grid, rep, axis)
+        assert np.array_equal(out, self.textbook(a, grid, rep, axis))
+        assert np.array_equal(a, before)  # the input is not written
 
 
 class TestFidelityPure:
