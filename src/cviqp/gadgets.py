@@ -15,17 +15,17 @@ One product-input engine evaluates the CV gadgets.  After CZ, the
 conditional slice at measured momentum s factorizes as
 kept(q) * meas_tilde(s - q), with meas_tilde the momentum transform of the
 measured mode, so slices and the full outcome distribution cost O(n log n)
-and no n x n array is built.  On self-dual grids (dq == dp) the transform is
-the grid FFT; on any other grid it is a chirp-z transform (Bluestein's
-algorithm).  The conditional ensemble is built as one array of rows, except
-on a self-dual grid in the sample regime: there every row is the kept mode
-times a window of one momentum transform, so the ensemble keeps those two
-factors, its weights and its overlaps with a target are one dot per window,
-and the rows are built only when a reader needs them.  The GKP correction
-stays pending on the ensemble, whose readers apply it to the one vector each
-of them reads.  A correction trial there takes six FFTs, fidelity included:
-one ancilla transform, three real FFTs for the outcome masses and two for the
-pending shift of the target.
+and no n x n array is built.  Slices at arbitrary momenta are one chirp-z
+transform (Bluestein's algorithm) on every grid.  On a self-dual grid
+(dq == dp) the grid FFT serves only the outcome masses and the sample
+regime, where every row is the kept mode times a window of the measured
+mode's momentum wavefunction: the ensemble keeps those two factors, its
+weights and overlaps with a target are one dot per window, and the rows are
+built only when a reader needs them.  The GKP correction stays pending on
+the ensemble, whose readers apply it to the one vector each of them reads.
+A correction trial there takes six FFTs, fidelity included: one ancilla
+transform, three real FFTs for the outcome masses and two for the pending
+shift of the target.
 The materialized two-mode path of the homodyne module computes the same
 numbers and serves as the brute-force oracle in the tests.
 
@@ -50,18 +50,19 @@ from .homodyne import (
     PixelWindows,
     _gauss_legendre,
     _quad_nodes_per_bin,
-    _reversed_twice,
     ensemble_fidelity,
     sample_outcome,
 )
 from .quadgrid import (
     ModeState,
+    QuadratureGrid,
     Rep,
+    _require_same_grid,
     as_rep,
     normalized,
     to_momentum,
 )
-from .gates import _unit_phase, apply_fourier, displace_p, displace_q
+from .gates import apply_fourier, displace_p, displace_q
 from .states import GkpParams, gkp_plus, gkp_zero, squeezed_momentum
 
 SQRT_PI = math.sqrt(math.pi)
@@ -138,8 +139,9 @@ class GadgetReport:
 #     meas_tilde(s - q_m) = dq/sqrt(2 pi) sum_j [psi_j exp(-i s q_j)]
 #                           * exp(i dq^2 (m - n/2)(j - n/2)).
 #
-# On a self-dual grid dq^2 n = 2 pi, so the transform is the plain length-n
-# FFT and on-grid slices are circular lookups into one momentum transform.
+# Every slice at an arbitrary momentum is taken this way, on every grid.  On a
+# self-dual grid dq^2 n = 2 pi, and only the on-grid slices of the sample
+# regime are read instead as windows of the length-n FFT (PixelWindows).
 #
 # The chirp-z transform is written here in numpy because the package imports
 # no scipy, and because scipy.signal's w**(k**2/2) chirps drift off the unit
@@ -175,19 +177,7 @@ def _slices(measured: ModeState, s_values: np.ndarray) -> Iterator[np.ndarray]:
     """meas_tilde(s - q_m) over the grid, one array per measured value s."""
     g = measured.grid
     n = g.n_points
-    psi = measured.amplitudes
-    if g.is_self_dual:
-        # slice i is tilde[(a + n/2 - i) % n], with tilde the transform of psi tilted
-        # by the node's offset eps from sample a: a contiguous window of the
-        # reversed transform laid twice end to end
-        for s in s_values:
-            a = int(round((s + 0.5 * g.extent) / g.dq))
-            eps = s - (-0.5 * g.extent + a * g.dq)
-            tilted = ModeState(g, Rep.POSITION, psi * _unit_phase(-eps * g.points))
-            doubled = _reversed_twice(to_momentum(tilted).amplitudes)
-            start = (n // 2 - 1 - a) % n
-            yield doubled[start : start + n]
-        return
+    psi = as_rep(measured, Rep.POSITION).amplitudes
     q = g.points
     scale = g.dq / math.sqrt(2.0 * math.pi)
     batch = max(1, _CZT_BATCH_POINTS // (2 * n))
@@ -196,24 +186,32 @@ def _slices(measured: ModeState, s_values: np.ndarray) -> Iterator[np.ndarray]:
         yield from scale * _czt(x, g.dq**2, -(n // 2), n, -(n // 2))
 
 
+def _reads_windows(det: DetectorParams, grid: QuadratureGrid) -> bool:
+    """True when a pixel's rows are read as windows of the measured mode's
+    momentum transform (:class:`PixelWindows`): a self-dual grid in the
+    sample regime."""
+    return grid.is_self_dual and det.sample_aligned(grid)
+
+
 def _condition(
-    kept: ModeState, measured: ModeState, det: DetectorParams, k: int, transform: np.ndarray | None = None
+    kept: ModeState, measured: ModeState, det: DetectorParams, k: int
 ) -> tuple[np.ndarray, np.ndarray | PixelWindows, float]:
     """Weights, position rows and total probability of the kept mode's ensemble
     for pixel k of the measured mode after CZ.
 
-    Sample regime: one row per grid sample that ``det.bin_of`` assigns to k,
-    the rule :func:`outcome_distribution` uses too.  On a self-dual grid each
-    such row is a window of the measured mode's momentum transform (given as
-    ``transform``, or computed), so the rows stay factored as
-    :class:`PixelWindows`; elsewhere they are a writable array.  Sub-grid
-    regime: one row per Gauss-Legendre node inside the pixel.
+    ``kept`` is in position, ``measured`` in either representation.  Sample
+    regime: one row per grid sample that ``det.bin_of`` assigns to k, the rule
+    :func:`outcome_distribution` uses too.  On a self-dual grid each such row
+    is a window of the measured mode's momentum wavefunction, so the rows stay
+    factored as :class:`PixelWindows`.  Every other row is a chirp-z slice in
+    a writable array; in the sub-grid regime, one per Gauss-Legendre node.
     """
+    _require_same_grid(kept, measured)
     g = measured.grid
     if det.sample_aligned(g):
         in_pixel = det.bin_of(g.momentum_points) == k
-        if g.is_self_dual:
-            transform = to_momentum(measured).amplitudes if transform is None else transform
+        if _reads_windows(det, g):
+            transform = as_rep(measured, Rep.MOMENTUM).amplitudes
             windows = PixelWindows(g, kept.amplitudes, transform, np.nonzero(in_pixel)[0])
             weights = windows.sq_norms() * g.dp
             total = float(np.sum(weights))
@@ -253,7 +251,7 @@ def _density_coefficients(kept: ModeState, measured: ModeState) -> np.ndarray:
     """
     g = measured.grid
     n = g.n_points
-    spec = np.fft.fft(measured.amplitudes, 2 * n)
+    spec = np.fft.fft(as_rep(measured, Rep.POSITION).amplitudes, 2 * n)
     autocorr = np.fft.ifft(np.abs(spec) ** 2)[:n]
     weights = _czt(np.abs(kept.amplitudes) ** 2, g.dq**2, -(n // 2), n, 0)
     return autocorr * weights
@@ -278,31 +276,24 @@ def outcome_distribution(
     This is the syndrome distribution of :func:`gkp_error_correct`, as an
     ordered ``{k: probability}`` map over the pixels the outcome density
     reaches, computed in O(n log n) on any grid without the two-mode state.
-    Sample regime: each momentum sample's mass goes to the pixel
-    ``det.bin_of`` assigns it.  Sub-grid regime: Gauss-Legendre quadrature of
-    the outcome density over each pixel, on the pixel range where the
-    sample-lattice density has mass.
+    Either state may be in either representation.  Sample regime: each
+    momentum sample's mass goes to the pixel ``det.bin_of`` assigns it.
+    Sub-grid regime: Gauss-Legendre quadrature of the outcome density over
+    each pixel, on the pixel range where the sample-lattice density has mass.
     """
-    return _outcome_distribution(as_rep(data, Rep.POSITION), as_rep(ancilla, Rep.POSITION), det)
-
-
-def _outcome_distribution(
-    kept: ModeState, measured: ModeState, det: DetectorParams, transform: np.ndarray | None = None
-) -> dict[int, float]:
-    """:func:`outcome_distribution` of position states; ``transform`` as in :func:`_condition`."""
-    if kept.grid != measured.grid:
-        raise ValidationError("data and ancilla must live on the same grid")
-    g = measured.grid
+    _require_same_grid(data, ancilla)
+    kept = as_rep(data, Rep.POSITION)
+    g = ancilla.grid
     n = g.n_points
     bins = det.bin_of(g.momentum_points)
     coeffs = None
     if g.is_self_dual:
         # masses[a] = dp dq sum_m |kept_m|^2 |meas_tilde(p_a - q_m)|^2, a circular convolution
-        t = np.abs(to_momentum(measured).amplitudes if transform is None else transform) ** 2
+        t = np.abs(as_rep(ancilla, Rep.MOMENTUM).amplitudes) ** 2
         spec = np.fft.rfft(np.abs(kept.amplitudes) ** 2) * np.fft.rfft(np.roll(t, -(n // 2)))
         masses = np.maximum(np.fft.irfft(spec, n), 0.0) * g.dp * g.dq
     else:
-        coeffs = _density_coefficients(kept, measured)
+        coeffs = _density_coefficients(kept, ancilla)
         masses = g.dp * _density_on_lattice(coeffs, g.dq, np.zeros(1), g.dp, -(n // 2), n)[0]
     if det.sample_aligned(g):
         k_lo = int(bins[0])
@@ -313,7 +304,7 @@ def _outcome_distribution(
             raise NumericalError("state carries no measurable momentum mass")
         k_lo, k_hi = int(bins[live][0]), int(bins[live][-1])
         if coeffs is None:
-            coeffs = _density_coefficients(kept, measured)
+            coeffs = _density_coefficients(kept, ancilla)
         offsets, wts = _gauss_legendre(-det.eta, det.eta, _quad_nodes_per_bin(det, g))
         dens = _density_on_lattice(coeffs, g.dq, offsets, 2.0 * det.eta, k_lo, k_hi - k_lo + 1)
         probs = wts @ dens
@@ -404,22 +395,20 @@ def gkp_error_correct(
     ancilla = ancilla_state if ancilla_state is not None else gkp_zero(ancilla_params, data.grid)
     ancilla, (u2, v2) = apply_shift_noise(ancilla, ancilla_noise, seed=noise_seed)
     data_pos = as_rep(data, Rep.POSITION)
-    anc_pos = as_rep(ancilla, Rep.POSITION)
-    # one ancilla transform serves the outcome masses and the pixel windows, where they read it
-    g = anc_pos.grid
-    reads_transform = g.is_self_dual and (fixed_outcome_k is None or det.sample_aligned(g))
-    transform = to_momentum(anc_pos).amplitudes if reads_transform else None
+    # the ancilla goes in the representation its pixel reads: in momentum, one
+    # transform serves the outcome masses and the pixel windows
+    anc = as_rep(ancilla, Rep.MOMENTUM if _reads_windows(det, ancilla.grid) else Rep.POSITION)
 
     if fixed_outcome_k is not None:
         k = fixed_outcome_k
     else:
-        k = sample_outcome(_outcome_distribution(data_pos, anc_pos, det, transform), outcome_seed)
+        k = sample_outcome(outcome_distribution(data_pos, anc, det), outcome_seed)
     p_k = det.bin_center(k)
     correction = -centered_mod_sqrt_pi(p_k)
 
     # the correction is left pending on the ensemble: its readers shift one vector, not every row
     corrected = ConditionalEnsemble(
-        g, Rep.POSITION, *_condition(data_pos, anc_pos, det, k, transform), u=correction
+        anc.grid, Rep.POSITION, *_condition(data_pos, anc, det, k), u=correction
     )
 
     diagnostics: dict[str, float] = {

@@ -28,9 +28,10 @@ and ``components`` build the rows on first read.
 ``bin_probabilities`` and ``project_bin`` act on a materialized
 ``TwoModeState`` (n x n amplitudes).  The gadgets do not use them: their
 product-input engine in ``gadgets`` evaluates the same pixel rule and
-quadrature in O(n log n), with the grid FFT on self-dual grids and a chirp-z
-transform elsewhere.  This two-mode path is the brute-force oracle the tests
-compare that engine with.
+quadrature in O(n log n): slices at arbitrary momenta are one chirp-z
+transform on every grid, and on self-dual grids the grid FFT serves only the
+outcome masses and the sample-regime windows.  This two-mode path is the
+brute-force oracle the tests compare that engine with.
 """
 
 from __future__ import annotations

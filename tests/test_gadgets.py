@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cviqp import gates, quadgrid
-from cviqp.errors import ValidationError
+from cviqp import gadgets, gates, quadgrid
+from cviqp.errors import GridMismatchError, ValidationError
 from cviqp.gadgets import (
     ShiftNoise,
     _condition,
@@ -387,6 +387,36 @@ class TestGkpErrorCorrect:
         data = gkp_plus(params, gc_grid)
         with pytest.raises(ValidationError):
             gkp_error_correct(data, params, ShiftNoise.none(), DetectorParams(eta=0.2), seed=0)
+
+    @pytest.mark.parametrize(
+        "ancilla_grid", [make_grid(1024, 64.0), self_dual_grid(2048)], ids=["extent", "points"]
+    )
+    def test_mismatched_grids_rejected(self, ancilla_grid):
+        params = GkpParams.tied(0.35)
+        data = gkp_plus(params, self_dual_grid(1024))
+        anc = gkp_zero(params, ancilla_grid)
+        det = DetectorParams(eta=SQRT_PI / 4)
+        with pytest.raises(GridMismatchError):
+            outcome_distribution(data, anc, det)
+        with pytest.raises(GridMismatchError):
+            gkp_error_correct(data, params, ShiftNoise.none(), det, fixed_outcome_k=0, ancilla_state=anc)
+
+    @pytest.mark.parametrize("grid_name", sorted(ORACLE_GRIDS))
+    def test_chirp_z_batches_join_without_a_seam(self, grid_name, monkeypatch):
+        # sub-grid slices come from one chirp-z transform per batch of nodes
+        grid = ORACLE_GRIDS[grid_name]
+        params = GkpParams.tied(0.35)
+        det = DetectorParams(eta=SQRT_PI / 12)
+        assert not det.sample_aligned(grid)
+        data = displace_q(gkp_plus(params, grid), 0.2)
+        anc = gkp_zero(params, grid)
+        weights, rows, total = _condition(data, anc, det, 0)
+        monkeypatch.setattr(gadgets, "_CZT_BATCH_POINTS", 5 * 2 * grid.n_points)  # 5 nodes a batch
+        batched = _condition(data, anc, det, 0)
+        assert len(weights) > 2 * 5
+        assert np.array_equal(batched[0], weights)
+        assert np.array_equal(batched[1], rows)
+        assert batched[2] == total
 
 
 class TestDeferredCorrection:

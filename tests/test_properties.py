@@ -8,13 +8,20 @@ Grids stay at 512 points or fewer, so the n x n oracle is cheap.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cviqp.gadgets import ShiftNoise, gkp_error_correct, outcome_distribution
 from cviqp.gates import apply_cz, tensor
-from cviqp.homodyne import ConditionalEnsemble, DetectorParams, ensemble_fidelity, project_bin
-from cviqp.quadgrid import Rep, as_rep, self_dual_grid
+from cviqp.homodyne import (
+    ConditionalEnsemble,
+    DetectorParams,
+    bin_probabilities,
+    ensemble_fidelity,
+    project_bin,
+)
+from cviqp.quadgrid import Rep, as_rep, make_grid, self_dual_grid
 from cviqp.states import MIN_SAMPLES_PER_STD, GkpParams, gkp_plus, squeezed_momentum
 
 from conftest import random_smooth_state
@@ -25,10 +32,13 @@ SQRT_PI = math.sqrt(math.pi)
 @st.composite
 def mode_states(draw, grid):
     """A squeezed vacuum, a GKP comb or a random smooth state, resolvable on ``grid``."""
-    kind = draw(st.sampled_from(["squeezed", "gkp", "smooth"]))
     finest = 1.01 * MIN_SAMPLES_PER_STD * grid.dq  # dq == dp on a self-dual grid, up to rounding
+    # a comb's spikes (delta <= 1) are unresolvable on the coarsest general grids
+    kind = draw(st.sampled_from(["squeezed", "gkp", "smooth"] if finest < 1.0 else ["squeezed", "smooth"]))
     if kind == "squeezed":
-        return squeezed_momentum(draw(st.floats(finest, 1.0 / finest)), grid)
+        # momentum width sigma >= 4 dp and position width 1/sigma >= 4 dq
+        lo = finest if grid.is_self_dual else 1.01 * MIN_SAMPLES_PER_STD * grid.dp
+        return squeezed_momentum(draw(st.floats(lo, 1.0 / finest)), grid)
     if kind == "gkp":
         return gkp_plus(GkpParams.tied(draw(st.floats(finest, 1.0))), grid)
     return random_smooth_state(grid, seed=draw(st.integers(0, 2**16)))
@@ -71,3 +81,58 @@ def test_factored_ensemble_matches_the_oracle(case):
     for target in (data, as_rep(ancilla, Rep.MOMENTUM)):
         assert abs(ensemble_fidelity(ens, target) - ensemble_fidelity(shifted, target)) <= 1e-13
     assert abs(ens.purity() - oracle.purity()) <= 1e-13
+
+
+@st.composite
+def pixels(draw, self_dual, sample):
+    """(data, ancilla, detector, pixel) on a self-dual or a general grid, in
+    the sample or the sub-grid regime."""
+    n = draw(st.sampled_from([128, 256, 512]))
+    if self_dual:
+        grid = self_dual_grid(n)
+    else:
+        grid = make_grid(n, draw(st.sampled_from([0.5, 2.0])) * math.sqrt(2.0 * math.pi * n))
+    edge = int(SQRT_PI / (2.0 * grid.dp))  # eta = sqrt(pi)/m >= 2 dp up to m = edge
+    if sample:
+        m = draw(st.integers(1, edge))
+    else:
+        m = draw(st.integers(edge + 1, 4 * (edge + 1)))
+    det = DetectorParams(eta=SQRT_PI / m)
+    data = draw(mode_states(grid))
+    ancilla = draw(mode_states(grid))
+    dist = outcome_distribution(data, ancilla, det)
+    k = draw(st.sampled_from([k for k, p in dist.items() if p > 1e-6]))
+    return data, ancilla, det, k
+
+
+# every grid kind meets every regime, so no combination rests on the draws
+@pytest.mark.parametrize("self_dual", [True, False], ids=["self_dual", "general"])
+@pytest.mark.parametrize("sample", [True, False], ids=["sample", "sub_grid"])
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(draws=st.data())
+def test_engine_matches_the_oracle_on_every_grid_and_regime(self_dual, sample, draws):
+    data, ancilla, det, k = draws.draw(pixels(self_dual, sample))
+    grid = data.grid
+    assert grid.is_self_dual == self_dual and det.sample_aligned(grid) == sample
+    rep = gkp_error_correct(
+        data, GkpParams.tied(0.5), ShiftNoise.none(), det, fixed_outcome_k=k, ancilla_state=ancilla
+    )
+    ens = rep.output
+    joint = apply_cz(tensor(data, ancilla))
+    oracle = project_bin(joint, 2, k, det)
+    assert (ens.windows is not None) == (self_dual and sample)
+    assert len(ens.weights) == len(oracle.weights)
+    assert np.max(np.abs(ens.weights - oracle.weights)) <= 1e-13
+    assert abs(rep.success_probability - oracle.total_probability) <= 1e-13
+    scaled = np.sqrt(ens.weights)[:, np.newaxis] * ens.rows
+    assert np.max(np.abs(scaled - np.sqrt(oracle.weights)[:, np.newaxis] * oracle.rows)) <= 1e-12
+
+    # the engine's sub-grid pixel range may be wider than the oracle's: compare values, not
+    # ranges.  A pixel beyond the grid's momentum window is absent from the engine's map and
+    # reads wrapped (aliased) mass in the oracle, so only pixels the window meets are compared.
+    window = set(det.bin_of(grid.momentum_points).tolist())
+    ks = [j for j in range(k - 2, k + 3) if j in window]
+    dist = outcome_distribution(data, ancilla, det)
+    oracle_dist = bin_probabilities(joint, 2, det, k_range=ks, warn_tail=False)
+    for j in ks:
+        assert abs(dist.get(j, 0.0) - oracle_dist[j]) <= 1e-13
