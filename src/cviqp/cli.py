@@ -99,6 +99,11 @@ _NUMBERS = (int, float, _seed, _trials, _probability)
 
 
 def _fmt(x) -> str:
+    # exact-type checks first: plain floats and ints fill almost every CSV cell
+    if type(x) is float:
+        return format(x, ".12g")
+    if type(x) is int:
+        return str(x)
     if isinstance(x, str):
         return x
     if isinstance(x, (bool, np.bool_)):

@@ -319,10 +319,14 @@ class TestDvCommand:
         assert dist["00"] == pytest.approx(0.5, abs=1e-12)
         assert dist["01"] == pytest.approx(0.5, abs=1e-12)
 
-    @pytest.mark.parametrize("postselect", [None, "+", "-"])
-    def test_rows_are_per_trial_gadget_runs(self, postselect, tmp_path):
+    @pytest.mark.parametrize(
+        "postselect, seed",
+        [(None, 11), ("+", 11), ("-", 11), (None, 2**32 - 150)],
+        ids=["None", "+", "-", "seeds-across-2**32"],
+    )
+    def test_rows_are_per_trial_gadget_runs(self, postselect, seed, tmp_path):
         out = tmp_path / "dv.csv"
-        argv = ["dv", "--mode", "hadamard-gadget", "--trials", "300", "--seed", "11", "--out", str(out)]
+        argv = ["dv", "--mode", "hadamard-gadget", "--trials", "300", "--seed", str(seed), "--out", str(out)]
         if postselect is not None:
             argv += ["--postselect", postselect]
         assert main(argv) == 0
@@ -332,7 +336,7 @@ class TestDvCommand:
         forced = {None: None, "+": 1, "-": -1}[postselect]
         expected = []
         for trial in range(300):
-            _out, h, prob = cviqp.dv_hadamard_gadget(psi, postselect=forced, seed=11 + trial)
+            _out, h, prob = cviqp.dv_hadamard_gadget(psi, postselect=forced, seed=seed + trial)
             expected.append([str(trial), str(h), format(prob, ".12g")])
         assert rows == expected
         if postselect is None:
@@ -341,6 +345,22 @@ class TestDvCommand:
     def test_sampling_without_seed_exits_2(self, tmp_path):
         rc = main(["dv", "--mode", "hadamard-gadget", "--trials", "4", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("seed", [2**64 - 1, 2**128 - 2])
+    def test_seeds_below_2_128_are_drawn_exactly(self, seed, tmp_path):
+        out = tmp_path / "dv.csv"
+        assert main(["dv", "--mode", "hadamard-gadget", "--trials", "2", "--seed", str(seed), "--out", str(out)]) == 0
+        _config, _header, rows = read_rows(out)
+        psi = cviqp.qubit_state(1.0, 0.0)
+        assert [r[1] for r in rows] == [str(cviqp.dv_hadamard_gadget(psi, seed=seed + t)[1]) for t in range(2)]
+
+    @pytest.mark.parametrize("seed, trials", [(2**128 - 1, 2), (2**128, 1)])
+    def test_seeds_from_2_128_exit_2_without_file(self, seed, trials, tmp_path, capsys):
+        out = tmp_path / "dv.csv"
+        argv = ["dv", "--mode", "hadamard-gadget", "--trials", str(trials), "--seed", str(seed), "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+        assert "2**128" in capsys.readouterr().err
 
 
     def test_iqp_flag_matches_config_entry(self, tmp_path):

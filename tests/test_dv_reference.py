@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from cviqp.errors import NumericalError, ValidationError
-from cviqp.gadgets import QubitState, dv_hadamard_gadget, dv_iqp_circuit, qubit_state
+from cviqp.gadgets import (
+    QubitState,
+    _seeded_uniforms,
+    dv_hadamard_gadget,
+    dv_hadamard_trials,
+    dv_iqp_circuit,
+    qubit_state,
+)
 
 H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 X = np.array([[0, 1], [1, 0]])
@@ -54,6 +61,33 @@ class TestHadamardGadget:
     def test_multi_qubit_input_rejected(self):
         with pytest.raises(ValidationError):
             dv_hadamard_gadget(QubitState(2, np.full(4, 0.5)), postselect=1)
+
+
+class TestSeededUniforms:
+    """The batched draw is numpy's ``default_rng(seed).random()``, bit for bit."""
+
+    # word boundaries of the seed's 32-bit split, and the last seeds below 2**128
+    EDGES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**96, 2**128 - 1]
+
+    @pytest.mark.parametrize("seed", EDGES)
+    def test_edge_seeds(self, seed):
+        assert _seeded_uniforms(seed, 1)[0] == np.random.default_rng(seed).random()
+
+    @pytest.mark.parametrize("first", [2**32 - 3, 2**64 - 3, 2**128 - 6])
+    def test_ranges_across_word_boundaries(self, first):
+        want = [np.random.default_rng(first + t).random() for t in range(6)]
+        assert _seeded_uniforms(first, 6).tolist() == want
+
+    @pytest.mark.parametrize("first, count", [(-1, 1), (2**128, 1), (2**128 - 1, 2)])
+    def test_seeds_outside_0_to_2_128_rejected(self, first, count):
+        with pytest.raises(ValidationError, match="2\\*\\*128"):
+            _seeded_uniforms(first, count)
+
+    def test_trials_are_per_seed_gadget_runs(self):
+        psi = qubit_state(0.3, 0.9539392014169456)
+        runs = dv_hadamard_trials(psi, 400, seed=2**64 - 200)
+        assert runs == [dv_hadamard_gadget(psi, seed=2**64 - 200 + t)[1:] for t in range(400)]
+        assert {h for h, _prob in runs} == {0, 1}
 
 
 class TestIqpCircuit:

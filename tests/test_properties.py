@@ -2,7 +2,9 @@
 
 Each example draws a configuration and compares what the engine reports with
 ``project_bin`` on the materialized state ``apply_cz(tensor(data, ancilla))``.
-Grids stay at 512 points or fewer, so the n x n oracle is cheap.
+Grids stay at 512 points or fewer, so the n x n oracle is cheap.  The DV
+trials' batched seeded draws are checked against numpy's generator the same
+way.
 """
 
 import math
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cviqp.gadgets import ShiftNoise, gkp_error_correct, outcome_distribution
+from cviqp.gadgets import ShiftNoise, _seeded_uniforms, gkp_error_correct, outcome_distribution
 from cviqp.gates import apply_cz, tensor
 from cviqp.homodyne import (
     ConditionalEnsemble,
@@ -136,3 +138,11 @@ def test_engine_matches_the_oracle_on_every_grid_and_regime(self_dual, sample, d
     oracle_dist = bin_probabilities(joint, 2, det, k_range=ks, warn_tail=False)
     for j in ks:
         assert abs(dist.get(j, 0.0) - oracle_dist[j]) <= 1e-13
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(bits=st.integers(0, 128), offset=st.integers(0, 2**128 - 1), count=st.integers(1, 40))
+def test_seeded_uniforms_match_numpy(bits, offset, count):
+    first = max(0, (offset >> (128 - bits)) - count)  # seeds of every word length below 2**128
+    want = [np.random.default_rng(first + t).random() for t in range(count)]
+    assert _seeded_uniforms(first, count).tolist() == want

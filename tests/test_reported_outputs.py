@@ -6,6 +6,7 @@ exactly; other numbers to 1e-10 relative, or 1e-15 absolute for the
 rounding-noise corrections of order 1e-16.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -51,3 +52,13 @@ def test_readme_csv_matches_recorded_values(tmp_path, name):
         assert len(fields) == len(header)
         for column, g, w in fields:
             assert _same_field(column, g, w), f"{column}: {g} != {w} in row {line_want}"
+
+
+def test_readme_dv_csv_is_pinned(tmp_path):
+    # SHA-256 of the README dv example's file, recorded from numpy's per-trial
+    # default_rng(seed + t) draws; one drifted draw of the batched sampler moves it
+    out = tmp_path / "dv.csv"
+    assert main(["dv", "--mode", "hadamard-gadget", "--trials", "10000", "--seed", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "f942a1b7f5d61dd85a9db4fc56bdd1bc12d1ae74a607c8bef1631fca5bd40a2b"
+    )
