@@ -24,8 +24,8 @@ weights and overlaps with a target are one dot per window, and the rows are
 built only when a reader needs them.  The GKP correction stays pending on
 the ensemble, whose readers apply it to the one vector each of them reads.
 A correction trial there takes six FFTs, fidelity included: one ancilla
-transform, three real FFTs for the outcome masses and two for the pending
-shift of the target.
+transform (of a default |0> comb built once per grid and params), three real
+FFTs for the outcome masses and two for the target's in-place shift.
 The materialized two-mode path of the homodyne module computes the same
 numbers and serves as the brute-force oracle in the tests.
 
@@ -36,6 +36,8 @@ envelope exp(-sigma^2 q^2 / 2), so it is built the same way on every grid.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -60,6 +62,7 @@ from .quadgrid import (
     Rep,
     _require_same_grid,
     as_rep,
+    check_edge_support,
     normalized,
     to_momentum,
 )
@@ -67,6 +70,7 @@ from .gates import apply_fourier, displace_p, displace_q
 from .states import GkpParams, gkp_plus, gkp_zero, squeezed_momentum
 
 SQRT_PI = math.sqrt(math.pi)
+_default_ancilla = functools.lru_cache(maxsize=1)(gkp_zero)  # one |0> comb: the last (params, grid)
 
 
 def centered_mod_sqrt_pi(x: float) -> float:
@@ -194,6 +198,11 @@ def _reads_windows(det: DetectorParams, grid: QuadratureGrid) -> bool:
     return grid.is_self_dual and det.sample_aligned(grid)
 
 
+def _pixel_samples(det: DetectorParams, grid: QuadratureGrid, k: int) -> tuple[int, int]:
+    """[lo, hi) of the momentum samples in pixel k, by bisection: bin_of is monotone."""
+    return tuple(bisect.bisect_left(grid.momentum_points, j, key=det.bin_of) for j in (k, k + 1))
+
+
 def _condition(
     kept: ModeState, measured: ModeState, det: DetectorParams, k: int
 ) -> tuple[np.ndarray, np.ndarray | PixelWindows, float]:
@@ -210,16 +219,16 @@ def _condition(
     _require_same_grid(kept, measured)
     g = measured.grid
     if det.sample_aligned(g):
-        in_pixel = det.bin_of(g.momentum_points) == k
+        lo, hi = _pixel_samples(det, g, k)
         if _reads_windows(det, g):
             transform = as_rep(measured, Rep.MOMENTUM).amplitudes
-            windows = PixelWindows(g, kept.amplitudes, transform, np.nonzero(in_pixel)[0])
+            windows = PixelWindows(g, kept.amplitudes, transform, np.arange(lo, hi))
             weights = windows.sq_norms() * g.dp
             total = float(np.sum(weights))
             if total < ZERO_MASS_TOL:
                 raise ZeroMassBinError(f"bin k={k} carries probability {total:.3e}")
             return weights, windows, total
-        nodes = g.momentum_points[in_pixel]
+        nodes = g.momentum_points[lo:hi]
         node_measure = np.full(len(nodes), g.dp)
     else:
         lo, hi = det.bin_interval(k)
@@ -376,14 +385,14 @@ def gkp_error_correct(
 ) -> GadgetReport:
     """Measure q mod sqrt(pi) of the data mode through a GKP ancilla and shift it back.
 
-    The ancilla (|0> comb unless ``ancilla_state`` is supplied) passes through
-    the shift-noise channel, is entangled to the data with CZ, and its
-    momentum is measured with resolution 2*eta; the outcome pixel center p_k
-    determines the corrective displacement by minus the centered
-    representative of p_k mod sqrt(pi).  When the data mode's own shift
-    (u1, v1) is known to the caller, the diagnostics report whether the
-    recovery threshold |u1 - v2| <= sqrt(pi)/2 - eta held and whether the
-    applied correction left a logical (+-sqrt(pi)) offset.
+    The ancilla (|0> comb, built once per grid and params, unless
+    ``ancilla_state`` is supplied) passes through the shift-noise channel, is
+    entangled to the data with CZ, and its momentum is measured with resolution
+    2*eta; the outcome pixel center p_k determines the corrective displacement
+    by minus the centered representative of p_k mod sqrt(pi).  When the data
+    mode's own shift (u1, v1) is known to the caller, the diagnostics report
+    whether the recovery threshold |u1 - v2| <= sqrt(pi)/2 - eta held and
+    whether the applied correction left a logical (+-sqrt(pi)) offset.
 
     Fixed outcomes win over the seeded sampler.  The returned ensemble is the
     corrected data mode, with the correction pending as its ``u``; the
@@ -393,8 +402,10 @@ def gkp_error_correct(
     seq = np.random.SeedSequence(seed)
     noise_seed, outcome_seed = (int(s) for s in seq.generate_state(2))
 
-    ancilla = ancilla_state if ancilla_state is not None else gkp_zero(ancilla_params, data.grid)
-    ancilla, (u2, v2) = apply_shift_noise(ancilla, ancilla_noise, seed=noise_seed)
+    if ancilla_state is None:  # a reused comb warns as a fresh build would
+        ancilla_state = _default_ancilla(ancilla_params, data.grid)
+        check_edge_support(ancilla_state)
+    ancilla, (u2, v2) = apply_shift_noise(ancilla_state, ancilla_noise, seed=noise_seed)
     data_pos = as_rep(data, Rep.POSITION)
     # the ancilla goes in the representation its pixel reads: in momentum, one
     # transform serves the outcome masses and the pixel windows

@@ -27,7 +27,6 @@ from .quadgrid import (
     QuadratureGrid,
     Rep,
     TwoModeState,
-    _transform,
     as_rep,
     to_momentum,
     to_position,
@@ -35,7 +34,6 @@ from .quadgrid import (
 )
 
 _CZ_BLOCK_ROWS = 512  # bounds the transient phase-matrix allocation
-_SHIFT_BLOCK_POINTS = 1 << 18  # bounds the transient transform buffers of a shift
 
 
 def _unit_phase(x: np.ndarray) -> np.ndarray:
@@ -137,17 +135,22 @@ def displace_q(psi: ModeState, u: float) -> ModeState:
 def _shift_rows(rows: np.ndarray, grid: QuadratureGrid, rep: Rep, u: float) -> None:
     """Apply exp(-i u p) in place to each row of ``rows``, wavefunctions in ``rep``.
 
-    Position rows go to momentum and back a few at a time, bounding the copies.
+    Position rows make the :func:`quadgrid._transform` round trip in ``rows``,
+    less the sign passes between the FFTs, which cancel exactly.  Kick times
+    row, in that order: numpy's complex multiply is not bitwise commutative.
     """
     _check_shift(grid.extent, u)
     kick = _unit_phase(-u * grid.momentum_points)
-    if rep is Rep.MOMENTUM:
-        np.multiply(kick, rows, out=rows)
-        return
-    block = max(1, _SHIFT_BLOCK_POINTS // grid.n_points)
-    for lo in range(0, len(rows), block):
-        phi = _transform(rows[lo : lo + block], grid, Rep.MOMENTUM)
-        rows[lo : lo + block] = _transform(np.multiply(kick, phi, out=phi), grid, Rep.POSITION)
+    if rep is Rep.POSITION:
+        s = np.tile([1.0, -1.0], grid.n_points // 2)
+        np.multiply(s, rows, out=rows)
+        np.fft.fft(rows, axis=-1, out=rows)
+        rows *= grid.dq / np.sqrt(2.0 * np.pi)
+    np.multiply(kick, rows, out=rows)
+    if rep is Rep.POSITION:
+        np.fft.ifft(rows, axis=-1, out=rows)
+        rows *= s
+        rows *= grid.dp * grid.n_points / np.sqrt(2.0 * np.pi)
 
 
 def displace_p(psi: ModeState, v: float) -> ModeState:

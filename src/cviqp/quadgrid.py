@@ -19,6 +19,7 @@ amplitude vector, not just smooth ones.
 from __future__ import annotations
 
 import enum
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -44,8 +45,8 @@ class QuadratureGrid:
     """Uniform discretization of one quadrature axis.
 
     ``points`` is the position grid; the momentum grid implied by the FFT
-    pairing is exposed as ``momentum_points``.  Both are centered on zero and
-    immutable.
+    pairing is exposed as ``momentum_points``.  Both are centered on zero,
+    read-only, and built on first read.
     """
 
     n_points: int
@@ -76,13 +77,13 @@ class QuadratureGrid:
     def momentum_extent(self) -> float:
         return self.n_points * self.dp
 
-    @property
+    @functools.cached_property
     def points(self) -> np.ndarray:
         q = -0.5 * self.extent + self.dq * np.arange(self.n_points)
         q.flags.writeable = False
         return q
 
-    @property
+    @functools.cached_property
     def momentum_points(self) -> np.ndarray:
         p = -0.5 * self.momentum_extent + self.dp * np.arange(self.n_points)
         p.flags.writeable = False

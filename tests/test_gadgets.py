@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cviqp import gadgets, gates, quadgrid
+from cviqp import gadgets, gates, homodyne, quadgrid, states
 from cviqp.errors import GridMismatchError, ValidationError
 from cviqp.gadgets import (
     ShiftNoise,
@@ -27,6 +27,7 @@ from cviqp.homodyne import (
     sample_outcome,
 )
 from cviqp.quadgrid import (
+    GridSupportWarning,
     ModeState,
     Rep,
     fidelity_pure,
@@ -419,6 +420,43 @@ class TestGkpErrorCorrect:
         assert batched[2] == total
 
 
+class TestDefaultAncilla:
+    """Without ``ancilla_state`` the |0> comb is built once and reused."""
+
+    def test_comb_built_once_and_reports_unchanged(self, monkeypatch):
+        grid = make_grid(1024, 16.0)  # narrow: the delta-0.5 comb reaches the grid edge
+        params = GkpParams.tied(0.5)
+        det = DetectorParams(eta=SQRT_PI / 8)
+        noise = ShiftNoise(0.0, 0.05)
+        clean = gkp_plus(params, grid)
+        data = displace_q(clean, 0.3)
+        seeds = (5, 6, 7)
+        expected = [
+            gkp_error_correct(data, params, noise, det, seed=s, ancilla_state=gkp_zero(params, grid))
+            for s in seeds
+        ]
+        original = states._comb
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(states, "_comb", counting)
+        gadgets._default_ancilla.cache_clear()
+        for seed, ref in zip(seeds, expected):
+            # the reused comb still warns on every call, as a fresh build would
+            with pytest.warns(GridSupportWarning):
+                rep = gkp_error_correct(data, params, noise, det, seed=seed)
+            assert rep.outcome_k == ref.outcome_k
+            assert np.array_equal(rep.output.weights, ref.output.weights)
+            assert rep.success_probability == ref.success_probability
+            assert rep.diagnostics == ref.diagnostics
+            assert ensemble_fidelity(rep.output, clean) == ensemble_fidelity(ref.output, clean)
+        assert len(built) == 1
+        assert len({rep.diagnostics["ancilla_v2"] for rep in expected}) == len(seeds)
+
+
 class TestDeferredCorrection:
     """gkp_error_correct leaves its correction pending on the ensemble (``u``)."""
 
@@ -451,14 +489,21 @@ class TestDeferredCorrection:
         clean = gkp_plus(params, gc_grid)
         data = displace_q(clean, 0.2)
         original = quadgrid._transform
+        original_shift = gates._shift_rows
         transformed = []
 
         def counting(amplitudes, grid, rep, axis=-1):
             transformed.append(np.size(amplitudes) // grid.n_points)
             return original(amplitudes, grid, rep, axis)
 
-        for module in (quadgrid, gates):
-            monkeypatch.setattr(module, "_transform", counting)
+        def counting_shift(rows, grid, rep, u):
+            # a position row goes to momentum and back
+            transformed.append(2 * len(rows) if rep is Rep.POSITION else 0)
+            return original_shift(rows, grid, rep, u)
+
+        monkeypatch.setattr(quadgrid, "_transform", counting)
+        for module in (gates, homodyne):
+            monkeypatch.setattr(module, "_shift_rows", counting_shift)
         rep = gkp_error_correct(data, params, ShiftNoise.none(), det, seed=4)
         ensemble_fidelity(rep.output, clean)
         assert rep.diagnostics["applied_correction"] != 0.0

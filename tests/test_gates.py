@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cviqp.errors import RepresentationError, ValidationError
-from cviqp.homodyne import DetectorParams, gkp_readout
+from cviqp.homodyne import ConditionalEnsemble, DetectorParams, gkp_readout
 from cviqp.gates import (
+    _shift_rows,
     apply_cz,
     apply_fourier,
     apply_phase_function,
@@ -21,6 +22,7 @@ from cviqp.gates import (
 from cviqp.quadgrid import (
     ModeState,
     Rep,
+    _transform,
     fidelity_pure,
     make_grid,
     norm,
@@ -307,3 +309,41 @@ class TestUnitPhaseValues:
         for f in (lambda q: 0.3 * q**2, lambda q: np.sqrt(np.pi) * q, lambda q: 40.0 * q**3):
             expected = np.exp(1j * f(grid.points)) * psi.amplitudes
             assert np.array_equal(apply_phase_function(psi, f).amplitudes, expected)
+
+
+@pytest.mark.parametrize("grid", [make_grid(256, 30.0), self_dual_grid(1024)], ids=["general", "self_dual"])
+@pytest.mark.parametrize("rep", [Rep.POSITION, Rep.MOMENTUM])
+class TestShiftValues:
+    """The in-place shift equals, bit for bit, the textbook one: transform to
+    momentum, multiply by the kick, transform back."""
+
+    @staticmethod
+    def textbook(row, grid, rep, u):
+        kick = np.exp(-1j * u * grid.momentum_points)
+        if rep is Rep.MOMENTUM:
+            return np.multiply(kick, row)
+        phi = _transform(row, grid, Rep.MOMENTUM)
+        return _transform(np.multiply(kick, phi), grid, Rep.POSITION)
+
+    @staticmethod
+    def rows(grid, m, seed):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(m, grid.n_points)) + 1j * rng.normal(size=(m, grid.n_points))
+
+    def test_displace_q(self, grid, rep):
+        psi = ModeState(grid, rep, self.rows(grid, 1, 50)[0])
+        for u in (0.8, -1.37, SQRT_PI):
+            assert np.array_equal(displace_q(psi, u).amplitudes, self.textbook(psi.amplitudes, grid, rep, u))
+
+    def test_batched_rows(self, grid, rep):
+        rows = self.rows(grid, 45, 51)
+        shifted = rows.copy()
+        _shift_rows(shifted, grid, rep, -1.37)
+        for before, after in zip(rows, shifted):
+            assert np.array_equal(after, self.textbook(before, grid, rep, -1.37))
+
+    def test_ensemble_components(self, grid, rep):
+        rows = self.rows(grid, 45, 52)
+        ens = ConditionalEnsemble(grid, rep, np.ones(45), rows, 45.0, u=SQRT_PI)
+        for before, after in zip(rows, ens.components):
+            assert np.array_equal(after, self.textbook(before, grid, rep, SQRT_PI))

@@ -14,7 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cviqp.gadgets import ShiftNoise, _seeded_uniforms, gkp_error_correct, outcome_distribution
+from cviqp.gadgets import (
+    ShiftNoise,
+    _pixel_samples,
+    _seeded_uniforms,
+    gkp_error_correct,
+    outcome_distribution,
+)
 from cviqp.gates import apply_cz, tensor
 from cviqp.homodyne import (
     ConditionalEnsemble,
@@ -83,6 +89,27 @@ def test_factored_ensemble_matches_the_oracle(case):
     for target in (data, as_rep(ancilla, Rep.MOMENTUM)):
         assert abs(ensemble_fidelity(ens, target) - ensemble_fidelity(shifted, target)) <= 1e-13
     assert abs(ens.purity() - oracle.purity()) <= 1e-13
+
+
+@st.composite
+def pixel_queries(draw):
+    """(grid, detector, pixel) in the sample regime; eta is often a whole number
+    of dp, so that samples sit on pixel edges, where rounding decides the pixel."""
+    n = draw(st.sampled_from([64, 256, 1024, 65536]))
+    grid = self_dual_grid(n) if draw(st.booleans()) else make_grid(n, draw(st.floats(8.0, 400.0)))
+    steps = draw(st.integers(2, 40))
+    eta = steps * grid.dp if draw(st.booleans()) else draw(st.floats(2.0, 40.0)) * grid.dp
+    det = DetectorParams(eta=eta)
+    bins = det.bin_of(grid.momentum_points)
+    return grid, det, draw(st.integers(int(bins[0]) - 2, int(bins[-1]) + 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(pixel_queries())
+def test_bisected_pixel_range_is_the_bin_of_mask(case):
+    grid, det, k = case
+    lo, hi = _pixel_samples(det, grid, k)
+    assert np.array_equal(np.arange(lo, hi), np.nonzero(det.bin_of(grid.momentum_points) == k)[0])
 
 
 @st.composite

@@ -62,6 +62,19 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             grid_small.points[0] = 0.0
 
+    def test_axes_are_built_once_and_read_only(self):
+        g = make_grid(256, 30.0)
+        for name in ("points", "momentum_points"):
+            axis = getattr(g, name)
+            assert getattr(g, name) is axis
+            with pytest.raises(ValueError):
+                axis[0] = 0.0
+        twin = make_grid(256, 30.0)
+        assert "points" not in vars(twin)  # only g has cached its axes
+        assert twin == g and hash(twin) == hash(g)
+        assert {g: "g"}[twin] == "g"
+        assert make_grid(256, 31.0) != g
+
 
 class TestInnerProduct:
     def test_self_inner_product_is_one(self, grid_small):
