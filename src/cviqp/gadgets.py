@@ -15,19 +15,17 @@ One product-input engine evaluates the CV gadgets.  After CZ, the
 conditional slice at measured momentum s factorizes as
 kept(q) * meas_tilde(s - q), with meas_tilde the momentum transform of the
 measured mode, so slices and the full outcome distribution cost O(n log n)
-and no n x n array is built.  Slices at arbitrary momenta are one chirp-z
-transform (Bluestein's algorithm) on every grid.  On a self-dual grid
-(dq == dp) the grid FFT serves only the outcome masses and the sample
-regime, where every row is the kept mode times a window of the measured
-mode's momentum wavefunction: the ensemble keeps those two factors, its
-weights and overlaps with a target are one dot per window, and the rows are
-built only when a reader needs them.  The GKP correction stays pending on
-the ensemble, whose readers apply it to the one vector each of them reads.
-A correction trial there takes six FFTs, fidelity included: one ancilla
+and no n x n array is built.  The grid kind alone chooses how a slice is
+taken: on a self-dual grid (dq == dp) as a window of a grid FFT, which the
+ensemble keeps unbuilt (its weights and overlaps with a target are one dot
+per window), and on any other grid as a chirp-z transform (Bluestein's
+algorithm).  The GKP correction stays pending on the ensemble, whose readers
+apply it to the one vector each of them reads.  A sample-regime correction
+trial on a self-dual grid takes six FFTs, fidelity included: one ancilla
 transform (of a default |0> comb built once per grid and params), three real
-FFTs for the outcome masses and two for the target's in-place shift.
-The materialized two-mode path of the homodyne module computes the same
-numbers and serves as the brute-force oracle in the tests.
+FFTs for the outcome masses and two for the target's in-place shift.  The
+materialized two-mode path of the homodyne module computes the same numbers
+and serves as the brute-force oracle in the tests.
 
 The Fourier gadget's finite-squeezing target (psi convolved with a width-sigma
 Gaussian, read in momentum) is in position the ideal output F psi times the
@@ -40,7 +38,7 @@ import bisect
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -61,12 +59,13 @@ from .quadgrid import (
     QuadratureGrid,
     Rep,
     _require_same_grid,
+    _transform,
     as_rep,
     check_edge_support,
     normalized,
     to_momentum,
 )
-from .gates import apply_fourier, displace_p, displace_q
+from .gates import _unit_phase, apply_fourier, displace_p, displace_q
 from .states import GkpParams, gkp_plus, gkp_zero, squeezed_momentum
 
 SQRT_PI = math.sqrt(math.pi)
@@ -80,15 +79,10 @@ def centered_mod_sqrt_pi(x: float) -> float:
 
 @dataclass(frozen=True)
 class ShiftNoise:
-    """Gaussian shift channel exp(-i u p) exp(-i v q), u ~ N(0, u_std^2), v ~ N(0, v_std^2).
-
-    Fixed shifts, when given, override the random draw (deterministic tests).
-    """
+    """Gaussian shift channel exp(-i u p) exp(-i v q), u ~ N(0, u_std^2), v ~ N(0, v_std^2)."""
 
     u_std: float = 0.0
     v_std: float = 0.0
-    fixed_u: float | None = None
-    fixed_v: float | None = None
 
     def __post_init__(self) -> None:
         for name, s in (("u_std", self.u_std), ("v_std", self.v_std)):
@@ -105,8 +99,8 @@ def apply_shift_noise(
 ) -> tuple[ModeState, tuple[float, float]]:
     """Apply one draw of the shift channel; returns the state and the realized (u, v)."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    u = noise.fixed_u if noise.fixed_u is not None else float(rng.normal(0.0, noise.u_std))
-    v = noise.fixed_v if noise.fixed_v is not None else float(rng.normal(0.0, noise.v_std))
+    u = float(rng.normal(0.0, noise.u_std))
+    v = float(rng.normal(0.0, noise.v_std))
     out = psi
     if v != 0.0:
         out = displace_p(out, v)
@@ -144,9 +138,9 @@ class GadgetReport:
 #     meas_tilde(s - q_m) = dq/sqrt(2 pi) sum_j [psi_j exp(-i s q_j)]
 #                           * exp(i dq^2 (m - n/2)(j - n/2)).
 #
-# Every slice at an arbitrary momentum is taken this way, on every grid.  On a
-# self-dual grid dq^2 n = 2 pi, and only the on-grid slices of the sample
-# regime are read instead as windows of the length-n FFT (PixelWindows).
+# On a self-dual grid dq^2 n = 2 pi and q_m = p_m, so with s = p_a + eps the
+# slice is meas_tilde at p_a - p_m + eps: a window of the length-n FFT of
+# psi exp(-i eps q) (PixelWindows).  Chirp-z slices serve every other grid.
 #
 # The chirp-z transform is written here in numpy because the package imports
 # no scipy, and because scipy.signal's w**(k**2/2) chirps drift off the unit
@@ -191,13 +185,6 @@ def _slices(measured: ModeState, s_values: np.ndarray) -> Iterator[np.ndarray]:
         yield from scale * _czt(x, g.dq**2, -(n // 2), n, -(n // 2))
 
 
-def _reads_windows(det: DetectorParams, grid: QuadratureGrid) -> bool:
-    """True when a pixel's rows are read as windows of the measured mode's
-    momentum transform (:class:`PixelWindows`): a self-dual grid in the
-    sample regime."""
-    return grid.is_self_dual and det.sample_aligned(grid)
-
-
 def _pixel_samples(det: DetectorParams, grid: QuadratureGrid, k: int) -> tuple[int, int]:
     """[lo, hi) of the momentum samples in pixel k, by bisection: bin_of is monotone."""
     return tuple(bisect.bisect_left(grid.momentum_points, j, key=det.bin_of) for j in (k, k + 1))
@@ -209,46 +196,55 @@ def _condition(
     """Weights, position rows and total probability of the kept mode's ensemble
     for pixel k of the measured mode after CZ.
 
-    ``kept`` is in position, ``measured`` in either representation.  Sample
-    regime: one row per grid sample that ``det.bin_of`` assigns to k, the rule
-    :func:`outcome_distribution` uses too.  On a self-dual grid each such row
-    is a window of the measured mode's momentum wavefunction, so the rows stay
-    factored as :class:`PixelWindows`.  Every other row is a chirp-z slice in
-    a writable array; in the sub-grid regime, one per Gauss-Legendre node.
+    ``kept`` is in position, ``measured`` in either representation.  A row per
+    grid sample that ``det.bin_of`` assigns to k (sample regime, the rule of
+    :func:`outcome_distribution`) or per Gauss-Legendre node (sub-grid).  On a
+    self-dual grid the node p_a + eps, p_a its nearest sample, is window a of
+    the transform tilted by eps (:class:`PixelWindows`); elsewhere each row is
+    a chirp-z slice in a writable array.  Rows of weight 0 are dropped.
     """
     _require_same_grid(kept, measured)
     g = measured.grid
     if det.sample_aligned(g):
         lo, hi = _pixel_samples(det, g, k)
-        if _reads_windows(det, g):
-            transform = as_rep(measured, Rep.MOMENTUM).amplitudes
-            windows = PixelWindows(g, kept.amplitudes, transform, np.arange(lo, hi))
-            weights = windows.sq_norms() * g.dp
-            total = float(np.sum(weights))
-            if total < ZERO_MASS_TOL:
-                raise ZeroMassBinError(f"bin k={k} carries probability {total:.3e}")
-            return weights, windows, total
-        nodes = g.momentum_points[lo:hi]
-        node_measure = np.full(len(nodes), g.dp)
+        nodes, node_measure = g.momentum_points[lo:hi], np.full(hi - lo, g.dp)
     else:
         lo, hi = det.bin_interval(k)
         nodes, node_measure = _gauss_legendre(lo, hi, _quad_nodes_per_bin(det, g))
-    weights = np.empty(len(nodes))
-    rows = np.empty((len(nodes), g.n_points), dtype=np.complex128)
-    m = 0
-    total = 0.0
-    for w_node, tilde in zip(node_measure.tolist(), _slices(measured, nodes)):
-        row = np.multiply(kept.amplitudes, tilde, out=rows[m])
-        sq = float(np.vdot(row, row).real * g.dq)
-        weight = sq * w_node
-        total += weight
-        if weight > 0.0:
-            row /= math.sqrt(sq)
-            weights[m] = weight
-            m += 1
+    if g.is_self_dual:
+        n = g.n_points
+        samples = np.clip(np.rint(nodes / g.dp).astype(np.int64) + n // 2, 0, n - 1)
+        eps, which = np.unique(nodes - g.momentum_points[samples], return_inverse=True)
+        if np.any(eps):  # one transform of measured * exp(-i eps q) per offset, one batched FFT
+            tilted = _unit_phase(np.outer(-eps, g.points))
+            tilted *= as_rep(measured, Rep.POSITION).amplitudes
+            transforms = _transform(tilted, g, Rep.MOMENTUM)
+        else:  # the sample regime: the grid transform itself
+            transforms = as_rep(measured, Rep.MOMENTUM).amplitudes[np.newaxis]
+        rows = PixelWindows(g, kept.amplitudes, transforms, samples, which)
+        weights = rows.sq_norms * node_measure
+        total = float(np.sum(weights))
+        keep = weights > 0.0
+        if not np.all(keep):  # a window of zero norm carries no state
+            weights, rows = weights[keep], replace(rows, samples=samples[keep], which=which[keep])
+    else:
+        weights = np.empty(len(nodes))
+        rows = np.empty((len(nodes), g.n_points), dtype=np.complex128)
+        m = 0
+        total = 0.0
+        for w_node, tilde in zip(node_measure.tolist(), _slices(measured, nodes)):
+            row = np.multiply(kept.amplitudes, tilde, out=rows[m])
+            sq = float(np.vdot(row, row).real * g.dq)
+            weight = sq * w_node
+            total += weight
+            if weight > 0.0:
+                row /= math.sqrt(sq)
+                weights[m] = weight
+                m += 1
+        weights, rows = weights[:m], rows[:m]
     if total < ZERO_MASS_TOL:
         raise ZeroMassBinError(f"bin k={k} carries probability {total:.3e}")
-    return weights[:m], rows[:m], total
+    return weights, rows, total
 
 
 def _density_coefficients(kept: ModeState, measured: ModeState) -> np.ndarray:
@@ -407,9 +403,9 @@ def gkp_error_correct(
         check_edge_support(ancilla_state)
     ancilla, (u2, v2) = apply_shift_noise(ancilla_state, ancilla_noise, seed=noise_seed)
     data_pos = as_rep(data, Rep.POSITION)
-    # the ancilla goes in the representation its pixel reads: in momentum, one
-    # transform serves the outcome masses and the pixel windows
-    anc = as_rep(ancilla, Rep.MOMENTUM if _reads_windows(det, ancilla.grid) else Rep.POSITION)
+    # on a self-dual grid the ancilla goes in momentum: one transform serves the
+    # outcome masses and the pixel windows
+    anc = as_rep(ancilla, Rep.MOMENTUM if ancilla.grid.is_self_dual else Rep.POSITION)
 
     if fixed_outcome_k is not None:
         k = fixed_outcome_k

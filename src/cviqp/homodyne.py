@@ -19,18 +19,17 @@ their domains overlap; the sample regime is additionally an exact partition
 of grid samples.  Conditioning on a pixel leaves the other mode in a mixture
 with one pure component per sample or node, held by ``ConditionalEnsemble``
 as a weight vector, the normalized rows, and a position shift still pending
-on every row.  The rows are an array, or, for a sample-regime pixel of the
-gadgets on a self-dual grid, their two factors (``PixelWindows``): the kept
-mode and one momentum transform of the measured mode, of which each row
-reads a window.  The fidelity reads the factors; purity, principal component
-and ``components`` build the rows on first read.
+on every row.  The rows are an array, or, for every pixel of the gadgets on
+a self-dual grid, their factors (``PixelWindows``): the kept mode and
+momentum transforms of the measured mode, of which each row reads a window.
+The fidelity reads the factors; purity, principal component and
+``components`` build the rows on first read.
 
 ``bin_probabilities`` and ``project_bin`` act on a materialized
 ``TwoModeState`` (n x n amplitudes).  The gadgets do not use them: their
 product-input engine in ``gadgets`` evaluates the same pixel rule and
-quadrature in O(n log n): slices at arbitrary momenta are one chirp-z
-transform on every grid, and on self-dual grids the grid FFT serves only the
-outcome masses and the sample-regime windows.  This two-mode path is the
+quadrature in O(n log n), with windows of tilted grid FFTs on self-dual
+grids and chirp-z slices on every other grid.  This two-mode path is the
 brute-force oracle the tests compare that engine with.
 """
 
@@ -40,7 +39,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -108,68 +107,72 @@ class DetectorParams:
             )
 
 
-def _reversed_twice(x: np.ndarray) -> np.ndarray:
-    """x reversed, laid twice end to end: every circular reversed window is a slice."""
-    return np.concatenate((x[::-1], x[::-1]))
-
-
 @dataclass(frozen=True)
 class PixelWindows:
     """The rows of a pixel ensemble held by their factors, on a self-dual grid.
 
-    After CZ, the momentum sample a of the measured mode leaves the kept mode
-    in kept[m] * W_a[m], with W_a[m] = transform[(a + n/2 - m) % n] and
-    ``transform`` the measured mode's momentum wavefunction: a window of one
-    array, selected by a.  Row i is that product for ``samples[i]``,
-    normalized.  Its squared norm (:meth:`sq_norms`) and its overlaps with a
-    target (:meth:`overlaps`) are one dot per window; :meth:`build` makes the
-    rows, n complex numbers each.  Iterating yields the built rows.
+    After CZ, the measured momentum s = p_a + eps leaves the kept mode in
+    kept[m] * W[m], W[m] = T[(a + n/2 - m) % n], with T the momentum
+    wavefunction of the measured mode times exp(-i eps q): a window of T,
+    selected by a.  Row i is that product for T = ``transforms[which[i]]``
+    and a = ``samples[i]``, normalized.  One untilted transform serves a
+    sample-regime pixel, and each sub-grid node reads its own.  Squared norms
+    and overlaps with a target are one dot per window; :meth:`build` makes
+    the rows, n complex numbers each, and iterating yields them.
     """
 
     grid: QuadratureGrid
     kept: np.ndarray
-    transform: np.ndarray
+    transforms: np.ndarray
     samples: np.ndarray
+    which: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.samples), self.grid.n_points)
 
-    def _starts(self) -> list[int]:
-        """Where each window starts in the reversed transform laid twice end to end."""
-        return ((self.grid.n_points // 2 - 1 - self.samples) % self.grid.n_points).tolist()
-
     def __iter__(self):
         return iter(self.build())
 
-    def _window_dots(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """dq sum_m x[m] y[(a + n/2 - m) % n] for each sample a: one dot per window."""
+    def _windows(self, stack: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """(i, the window of ``stack[which[i]]`` that row i reads) for every row: a
+        slice of that transform reversed and laid twice end to end, one at a time."""
         n = self.grid.n_points
-        doubled = _reversed_twice(y)
-        return np.array([np.dot(x, doubled[s : s + n]) for s in self._starts()]) * self.grid.dq
+        starts = ((n // 2 - 1 - self.samples) % n).tolist()
+        for t in np.unique(self.which).tolist():
+            doubled = np.concatenate((stack[t][::-1], stack[t][::-1]))
+            for i in np.flatnonzero(self.which == t).tolist():
+                yield i, doubled[starts[i] : starts[i] + n]
 
+    def _window_dots(self, x: np.ndarray, stack: np.ndarray) -> np.ndarray:
+        """dq sum_m x[m] y[(a + n/2 - m) % n] for each row, with y its transform
+        in ``stack``: one dot per window."""
+        out = np.empty(len(self.samples), dtype=np.result_type(x, stack))
+        for i, window in self._windows(stack):
+            out[i] = np.dot(x, window)
+        return out * self.grid.dq
+
+    @functools.cached_property
     def sq_norms(self) -> np.ndarray:
-        """dq sum_m |kept[m] W_a[m]|^2 of each unnormalized row.
+        """dq sum_m |kept[m] W[m]|^2 of each unnormalized row.
 
         Each is a sum of non-negative terms, so it is exact to rounding relative
         to itself, however small; the circular convolution of the outcome
         masses rounds relative to the whole distribution instead.
         """
-        return self._window_dots(np.abs(self.kept) ** 2, np.abs(self.transform) ** 2)
+        return self._window_dots(np.abs(self.kept) ** 2, np.abs(self.transforms) ** 2)
 
     def overlaps(self, target: np.ndarray) -> np.ndarray:
-        """dq sum_m conj(target[m]) kept[m] W_a[m] of each unnormalized row, for
-        position amplitudes ``target``; like :meth:`sq_norms`, each is exact to
+        """dq sum_m conj(target[m]) kept[m] W[m] of each unnormalized row, for
+        position amplitudes ``target``; like :attr:`sq_norms`, each is exact to
         rounding relative to its own row."""
-        return self._window_dots(np.conj(target) * self.kept, self.transform)
+        return self._window_dots(np.conj(target) * self.kept, self.transforms)
 
     def build(self) -> np.ndarray:
-        """The normalized rows, one (n,) position wavefunction per sample."""
-        n = self.grid.n_points
-        doubled = _reversed_twice(self.transform)
+        """The normalized rows, one (n,) position wavefunction per window."""
         rows = np.empty(self.shape, dtype=np.complex128)
-        for row, start in zip(rows, self._starts()):
-            np.multiply(self.kept, doubled[start : start + n], out=row)
+        for i, window in self._windows(self.transforms):
+            row = np.multiply(self.kept, window, out=rows[i])
             row /= math.sqrt(float(np.vdot(row, row).real * self.grid.dq))
         return rows
 
@@ -183,13 +186,13 @@ class ConditionalEnsemble:
     is the probability of the pixel, the sum of the weights.
 
     ``rows`` is given either as an array or as :class:`PixelWindows`.  The
-    gadgets pass windows for a pixel of a self-dual grid in the sample regime,
-    where every row is a window of one transform; ``windows`` holds them, and
-    is None for an ensemble given an array.  Such an ensemble builds ``rows``
-    on the first read, n complex numbers per weight (45 x 65536 of them, 45
-    MiB, for the sampled pixel of a GKP correction on 65536 points), and keeps
-    them: :meth:`purity`, :meth:`principal_component` and ``components`` read
-    them, while :func:`ensemble_fidelity` reads the factors, a dot per row.
+    gadgets pass windows for every pixel of a self-dual grid; ``windows``
+    holds them, and is None for an ensemble given an array.  Such an ensemble
+    builds ``rows`` on the first read, n complex numbers per weight (45 x 65536
+    of them, 45 MiB, for the sampled pixel of a GKP correction on 65536
+    points), and keeps them: :meth:`purity`, :meth:`principal_component` and
+    ``components`` read them, while :func:`ensemble_fidelity` reads the
+    factors, a dot per row.
 
     ``u`` is a position shift exp(-i u p) still pending on every row (the GKP
     correction): the ensemble is the rows displaced by ``u``.  The readers
@@ -403,13 +406,13 @@ def project_bin(
 
 def ensemble_fidelity(ensemble: ConditionalEnsemble, target: ModeState) -> float:
     """<target| rho |target> / Tr rho: the weighted mean over the rows of
-    :func:`fidelity_pure` with ``target`` (each row renormalized likewise).
+    :func:`fidelity_pure` with ``target``, each row's squared overlap divided
+    by its squared norm.
 
     A pending shift u is applied to the target as -u, once, instead of to
-    every row.  An ensemble that holds :class:`PixelWindows` is read through
-    them: weight i is dp times the squared norm of kept * W_i, so the row
-    norms cancel and the sum is dp sum_i |<t|kept * W_i>|^2, one window dot
-    per row, without building the rows."""
+    every row.  An ensemble that holds :class:`PixelWindows` gives its
+    overlaps and norms from the windows, one dot per row, without building
+    the rows."""
     if target.grid != ensemble.grid:
         raise GridMismatchError("states live on different grids")
     t = normalized(as_rep(target, ensemble.rep))
@@ -417,13 +420,13 @@ def ensemble_fidelity(ensemble: ConditionalEnsemble, target: ModeState) -> float
         t = displace_q(t, -ensemble.u)
     w = ensemble.weights
     if ensemble.windows is not None:
-        overlaps = ensemble.windows.overlaps(t.amplitudes)
-        return float(min(ensemble.grid.dp * np.sum(np.abs(overlaps) ** 2) / np.sum(w), 1.0))
-    rows = ensemble.rows
-    # row norms from the real and imaginary views: no (m, n) temporary
-    sq_norms = np.einsum("ij,ij->i", rows.real, rows.real) + np.einsum("ij,ij->i", rows.imag, rows.imag)
-    sq_norms *= t.spacing
-    overlaps = rows @ np.conj(t.amplitudes) * t.spacing
+        sq_norms, overlaps = ensemble.windows.sq_norms, ensemble.windows.overlaps(t.amplitudes)
+    else:
+        rows = ensemble.rows
+        # row norms from the real and imaginary views: no (m, n) temporary
+        sq_norms = np.einsum("ij,ij->i", rows.real, rows.real) + np.einsum("ij,ij->i", rows.imag, rows.imag)
+        sq_norms *= t.spacing
+        overlaps = rows @ np.conj(t.amplitudes) * t.spacing
     fids = np.minimum(np.abs(overlaps) ** 2 / sq_norms, 1.0)
     return float(np.dot(w, fids) / np.sum(w))
 

@@ -18,6 +18,8 @@ from cviqp.gadgets import (
     ShiftNoise,
     _pixel_samples,
     _seeded_uniforms,
+    fourier_gadget,
+    fourier_gadget_target,
     gkp_error_correct,
     outcome_distribution,
 )
@@ -149,7 +151,7 @@ def test_engine_matches_the_oracle_on_every_grid_and_regime(self_dual, sample, d
     ens = rep.output
     joint = apply_cz(tensor(data, ancilla))
     oracle = project_bin(joint, 2, k, det)
-    assert (ens.windows is not None) == (self_dual and sample)
+    assert (ens.windows is not None) == self_dual
     assert len(ens.weights) == len(oracle.weights)
     assert np.max(np.abs(ens.weights - oracle.weights)) <= 1e-13
     assert abs(rep.success_probability - oracle.total_probability) <= 1e-13
@@ -165,6 +167,44 @@ def test_engine_matches_the_oracle_on_every_grid_and_regime(self_dual, sample, d
     oracle_dist = bin_probabilities(joint, 2, det, k_range=ks, warn_tail=False)
     for j in ks:
         assert abs(dist.get(j, 0.0) - oracle_dist[j]) <= 1e-13
+
+
+@st.composite
+def fourier_gadget_inputs(draw, self_dual, sample):
+    """(psi, sigma, detector) on a self-dual or a general grid, in the sample or
+    the sub-grid regime; sigma is log-uniform over the range the grid resolves."""
+    n = draw(st.sampled_from([128, 256, 512]))
+    if self_dual:
+        grid = self_dual_grid(n)
+    else:
+        grid = make_grid(n, draw(st.sampled_from([0.5, 2.0])) * math.sqrt(2.0 * math.pi * n))
+    # momentum width sigma >= 4 dp and position width 1/sigma >= 4 dq
+    lo, hi = 1.01 * MIN_SAMPLES_PER_STD * grid.dp, 1.0 / (1.01 * MIN_SAMPLES_PER_STD * grid.dq)
+    sigma = math.exp(draw(st.floats(math.log(lo), math.log(hi))))
+    edge = 2.0 * grid.dp  # the sample regime starts at eta = 2 dp
+    eta = draw(st.floats(edge, 8.0 * edge) if sample else st.floats(edge / 16.0, edge, exclude_max=True))
+    return draw(mode_states(grid)), sigma, DetectorParams(eta=eta)
+
+
+@pytest.mark.parametrize("self_dual", [True, False], ids=["self_dual", "general"])
+@pytest.mark.parametrize("sample", [True, False], ids=["sample", "sub_grid"])
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(draws=st.data())
+def test_fourier_gadget_matches_the_oracle_on_every_grid_and_regime(self_dual, sample, draws):
+    psi, sigma, det = draws.draw(fourier_gadget_inputs(self_dual, sample))
+    assert psi.grid.is_self_dual == self_dual and det.sample_aligned(psi.grid) == sample
+    rep = fourier_gadget(psi, sigma, det)
+    ens = rep.output
+    kept = as_rep(squeezed_momentum(sigma, psi.grid), Rep.POSITION)
+    oracle = project_bin(apply_cz(tensor(psi, kept)), 1, 0, det)
+    assert (ens.windows is not None) == self_dual
+    assert len(ens.weights) == len(oracle.weights)
+    assert np.max(np.abs(ens.weights - oracle.weights)) <= 1e-13
+    assert abs(rep.success_probability - oracle.total_probability) <= 1e-13
+    assert abs(rep.diagnostics["ensemble_purity"] - oracle.purity()) <= 1e-13
+    target = fourier_gadget_target(psi, sigma)
+    fid = rep.diagnostics["fidelity_vs_finite_squeezing_target"]
+    assert abs(fid - ensemble_fidelity(oracle, target)) <= 1e-13
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
