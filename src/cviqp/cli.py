@@ -121,7 +121,10 @@ def _write_csv(args: argparse.Namespace, header: list[str], rows: list[list], **
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {args.out}: {exc.strerror or exc}") from None
 
 
 def _input_state(kind: str, grid, delta: float | None, delta_env: float | None) -> ModeState:

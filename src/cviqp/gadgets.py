@@ -34,7 +34,6 @@ envelope exp(-sigma^2 q^2 / 2), so it is built the same way on every grid.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import operator
@@ -49,14 +48,11 @@ from .homodyne import (
     ConditionalEnsemble,
     DetectorParams,
     PixelWindows,
-    _gauss_legendre,
-    _quad_nodes_per_bin,
     ensemble_fidelity,
     sample_outcome,
 )
 from .quadgrid import (
     ModeState,
-    QuadratureGrid,
     Rep,
     _require_same_grid,
     _transform,
@@ -131,7 +127,9 @@ class GadgetReport:
 #
 # After CZ, measuring the momentum of one mode of a product input at s leaves
 # the other mode in kept(q) * meas_tilde(s - q), where meas_tilde is the
-# measured mode's momentum transform at continuum arguments.  With
+# measured mode's momentum transform at continuum arguments.  The values of s
+# that make up a pixel, and their measures, are DetectorParams.pixel_nodes;
+# the engine only evaluates the slices and masses at them.  With
 # q_j = (j - n/2) dq, the slice over the kept grid is one chirp-z transform
 # with ratio exp(i dq^2):
 #
@@ -185,11 +183,6 @@ def _slices(measured: ModeState, s_values: np.ndarray) -> Iterator[np.ndarray]:
         yield from scale * _czt(x, g.dq**2, -(n // 2), n, -(n // 2))
 
 
-def _pixel_samples(det: DetectorParams, grid: QuadratureGrid, k: int) -> tuple[int, int]:
-    """[lo, hi) of the momentum samples in pixel k, by bisection: bin_of is monotone."""
-    return tuple(bisect.bisect_left(grid.momentum_points, j, key=det.bin_of) for j in (k, k + 1))
-
-
 def _condition(
     kept: ModeState, measured: ModeState, det: DetectorParams, k: int
 ) -> tuple[np.ndarray, np.ndarray | PixelWindows, float]:
@@ -197,20 +190,15 @@ def _condition(
     for pixel k of the measured mode after CZ.
 
     ``kept`` is in position, ``measured`` in either representation.  A row per
-    grid sample that ``det.bin_of`` assigns to k (sample regime, the rule of
-    :func:`outcome_distribution`) or per Gauss-Legendre node (sub-grid).  On a
-    self-dual grid the node p_a + eps, p_a its nearest sample, is window a of
-    the transform tilted by eps (:class:`PixelWindows`); elsewhere each row is
-    a chirp-z slice in a writable array.  Rows of weight 0 are dropped.
+    node of ``det.pixel_nodes``: per grid sample in pixel k (sample regime) or
+    per Gauss-Legendre node (sub-grid).  On a self-dual grid the node
+    p_a + eps, p_a its nearest sample, is window a of the transform tilted by
+    eps (:class:`PixelWindows`); elsewhere each row is a chirp-z slice in a
+    writable array.  Rows of weight 0 are dropped.
     """
     _require_same_grid(kept, measured)
     g = measured.grid
-    if det.sample_aligned(g):
-        lo, hi = _pixel_samples(det, g, k)
-        nodes, node_measure = g.momentum_points[lo:hi], np.full(hi - lo, g.dp)
-    else:
-        lo, hi = det.bin_interval(k)
-        nodes, node_measure = _gauss_legendre(lo, hi, _quad_nodes_per_bin(det, g))
+    nodes, node_measure = det.pixel_nodes(g, k)
     if g.is_self_dual:
         n = g.n_points
         samples = np.clip(np.rint(nodes / g.dp).astype(np.int64) + n // 2, 0, n - 1)
@@ -218,7 +206,7 @@ def _condition(
         if np.any(eps):  # one transform of measured * exp(-i eps q) per offset, one batched FFT
             tilted = _unit_phase(np.outer(-eps, g.points))
             tilted *= as_rep(measured, Rep.POSITION).amplitudes
-            transforms = _transform(tilted, g, Rep.MOMENTUM)
+            transforms = _transform(tilted, g, Rep.MOMENTUM, out=tilted)
         else:  # the sample regime: the grid transform itself
             transforms = as_rep(measured, Rep.MOMENTUM).amplitudes[np.newaxis]
         rows = PixelWindows(g, kept.amplitudes, transforms, samples, which)
@@ -282,16 +270,15 @@ def outcome_distribution(
     This is the syndrome distribution of :func:`gkp_error_correct`, as an
     ordered ``{k: probability}`` map over the pixels the outcome density
     reaches, computed in O(n log n) on any grid without the two-mode state.
-    Either state may be in either representation.  Sample regime: each
-    momentum sample's mass goes to the pixel ``det.bin_of`` assigns it.
-    Sub-grid regime: Gauss-Legendre quadrature of the outcome density over
-    each pixel, on the pixel range where the sample-lattice density has mass.
+    Either state may be in either representation.  Sample regime: the
+    momentum samples' masses binned by ``det.pixel_masses``.  Sub-grid
+    regime: the outcome density summed over each pixel's ``det.pixel_nodes``,
+    on the ``det.live_pixels`` where the sample-lattice density has mass.
     """
     _require_same_grid(data, ancilla)
     kept = as_rep(data, Rep.POSITION)
     g = ancilla.grid
     n = g.n_points
-    bins = det.bin_of(g.momentum_points)
     coeffs = None
     if g.is_self_dual:
         # masses[a] = dp dq sum_m |kept_m|^2 |meas_tilde(p_a - q_m)|^2, a circular convolution
@@ -302,19 +289,13 @@ def outcome_distribution(
         coeffs = _density_coefficients(kept, ancilla)
         masses = g.dp * _density_on_lattice(coeffs, g.dq, np.zeros(1), g.dp, -(n // 2), n)[0]
     if det.sample_aligned(g):
-        k_lo = int(bins[0])
-        probs = np.bincount(bins - k_lo, weights=masses)
-    else:
-        live = masses > ZERO_MASS_TOL * max(float(np.max(masses)), 1e-300)
-        if not np.any(live):
-            raise NumericalError("state carries no measurable momentum mass")
-        k_lo, k_hi = int(bins[live][0]), int(bins[live][-1])
-        if coeffs is None:
-            coeffs = _density_coefficients(kept, ancilla)
-        offsets, wts = _gauss_legendre(-det.eta, det.eta, _quad_nodes_per_bin(det, g))
-        dens = _density_on_lattice(coeffs, g.dq, offsets, 2.0 * det.eta, k_lo, k_hi - k_lo + 1)
-        probs = wts @ dens
-    return {k_lo + i: float(v) for i, v in enumerate(probs)}
+        return det.pixel_masses(g, masses)
+    live = det.live_pixels(g, masses)
+    if coeffs is None:
+        coeffs = _density_coefficients(kept, ancilla)
+    offsets, wts = det.pixel_nodes(g, 0)  # every pixel's nodes sit at these offsets from its center
+    dens = _density_on_lattice(coeffs, g.dq, offsets, 2.0 * det.eta, live.start, len(live))
+    return dict(zip(live, (wts @ dens).tolist()))
 
 
 # ---------------------------------------------------------------------------

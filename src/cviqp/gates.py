@@ -27,6 +27,7 @@ from .quadgrid import (
     QuadratureGrid,
     Rep,
     TwoModeState,
+    _transform,
     as_rep,
     to_momentum,
     to_position,
@@ -135,22 +136,17 @@ def displace_q(psi: ModeState, u: float) -> ModeState:
 def _shift_rows(rows: np.ndarray, grid: QuadratureGrid, rep: Rep, u: float) -> None:
     """Apply exp(-i u p) in place to each row of ``rows``, wavefunctions in ``rep``.
 
-    Position rows make the :func:`quadgrid._transform` round trip in ``rows``,
-    less the sign passes between the FFTs, which cancel exactly.  Kick times
-    row, in that order: numpy's complex multiply is not bitwise commutative.
+    Position rows go to momentum and back through :func:`quadgrid._transform`,
+    written into ``rows``, with the kick between.  Kick times row, in that
+    order: numpy's complex multiply is not bitwise commutative.
     """
     _check_shift(grid.extent, u)
     kick = _unit_phase(-u * grid.momentum_points)
     if rep is Rep.POSITION:
-        s = np.tile([1.0, -1.0], grid.n_points // 2)
-        np.multiply(s, rows, out=rows)
-        np.fft.fft(rows, axis=-1, out=rows)
-        rows *= grid.dq / np.sqrt(2.0 * np.pi)
+        _transform(rows, grid, Rep.MOMENTUM, out=rows)
     np.multiply(kick, rows, out=rows)
     if rep is Rep.POSITION:
-        np.fft.ifft(rows, axis=-1, out=rows)
-        rows *= s
-        rows *= grid.dp * grid.n_points / np.sqrt(2.0 * np.pi)
+        _transform(rows, grid, Rep.POSITION, out=rows)
 
 
 def displace_p(psi: ModeState, v: float) -> ModeState:

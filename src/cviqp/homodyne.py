@@ -9,32 +9,33 @@ evaluation regimes are supported and selected automatically:
   pixel projectors are disjoint and complete on the grid by construction;
 * sub-grid quadrature, when pixels are narrower than the grid can resolve:
   pixel masses and conditional states are computed from Gauss-Legendre nodes
-  inside the pixel, with the measured-mode momentum slice at each node
-  evaluated by the explicit (2 pi)^(-1/2) sum exp(-i s q_j) kernel.  This is
-  the regime of the post-selected gadgets, where eta can sit far below the
-  grid spacing.
+  inside the pixel.  This is the regime of the post-selected gadgets, where
+  eta can sit far below the grid spacing.
 
 Both regimes discretize the same continuum projector, and they agree where
 their domains overlap; the sample regime is additionally an exact partition
-of grid samples.  Conditioning on a pixel leaves the other mode in a mixture
-with one pure component per sample or node, held by ``ConditionalEnsemble``
-as a weight vector, the normalized rows, and a position shift still pending
-on every row.  The rows are an array, or, for every pixel of the gadgets on
-a self-dual grid, their factors (``PixelWindows``): the kept mode and
-momentum transforms of the measured mode, of which each row reads a window.
-The fidelity reads the factors; purity, principal component and
-``components`` build the rows on first read.
+of grid samples.  ``DetectorParams`` holds both regimes' pixel rule, for the
+oracle below and the engine in ``gadgets`` alike.  Conditioning on a pixel
+leaves the other mode in a mixture with one pure component per sample or
+node, held by ``ConditionalEnsemble`` as a weight vector, the normalized
+rows, and a position shift still pending on every row.  The rows are an
+array, or, for every pixel of the gadgets on a self-dual grid, their factors
+(``PixelWindows``): the kept mode and momentum transforms of the measured
+mode, of which each row reads a window.  The fidelity reads the factors;
+purity, principal component and ``components`` build the rows on first read.
 
 ``bin_probabilities`` and ``project_bin`` act on a materialized
-``TwoModeState`` (n x n amplitudes).  The gadgets do not use them: their
-product-input engine in ``gadgets`` evaluates the same pixel rule and
-quadrature in O(n log n), with windows of tilted grid FFTs on self-dual
-grids and chirp-z slices on every other grid.  This two-mode path is the
-brute-force oracle the tests compare that engine with.
+``TwoModeState`` (n x n amplitudes), with the measured-mode momentum slice at
+each sub-grid node evaluated by the explicit (2 pi)^(-1/2) sum exp(-i s q_j)
+kernel.  The gadgets do not use them: their product-input engine in
+``gadgets`` evaluates the same pixels in O(n log n), with windows of tilted
+grid FFTs on self-dual grids and chirp-z slices on every other grid.  This
+two-mode path is the brute-force oracle the tests compare that engine with.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import warnings
@@ -69,7 +70,12 @@ class TailMassWarning(UserWarning):
 
 @dataclass(frozen=True)
 class DetectorParams:
-    """Half-width eta of the detector pixels; pixel k covers [2 eta k - eta, 2 eta k + eta)."""
+    """Half-width eta of the detector pixels; pixel k covers [2 eta k - eta, 2 eta k + eta).
+
+    It owns the pixel rule of both regimes: which grid samples pixel k holds,
+    the nodes and measures that its mass and conditional state sum over, the
+    pixel masses of a sampled distribution and the pixels where it lives.
+    """
 
     eta: float
 
@@ -92,6 +98,37 @@ class DetectorParams:
     def sample_aligned(self, grid: QuadratureGrid) -> bool:
         """True when each pixel holds >= 4 momentum samples (sample-binning regime)."""
         return self.eta >= 2.0 * grid.dp
+
+    def pixel_samples(self, grid: QuadratureGrid, k: int) -> slice:
+        """The momentum samples that :meth:`bin_of` assigns to pixel k, by bisection: bin_of is monotone."""
+        return slice(*(bisect.bisect_left(grid.momentum_points, j, key=self.bin_of) for j in (k, k + 1)))
+
+    def pixel_nodes(self, grid: QuadratureGrid, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(nodes, measures) of pixel k: its samples, each of measure dp, in the sample
+        regime; otherwise Gauss-Legendre nodes over the pixel, 4 per dp of its width, at least 8."""
+        if self.sample_aligned(grid):
+            nodes = grid.momentum_points[self.pixel_samples(grid, k)]
+            return nodes, np.full(len(nodes), grid.dp)
+        lo, hi = self.bin_interval(k)
+        n_nodes = max(_MIN_QUAD_NODES, math.ceil(4.0 * (2.0 * self.eta / grid.dp)))
+        x, w = np.polynomial.legendre.leggauss(n_nodes)
+        half = 0.5 * (hi - lo)
+        return lo + half * (x + 1.0), half * w
+
+    def pixel_masses(self, grid: QuadratureGrid, sample_masses: np.ndarray) -> dict[int, float]:
+        """``{k: mass}`` of the pixels of all momentum samples, given one mass per sample."""
+        bins = self.bin_of(grid.momentum_points)
+        k_lo = int(bins[0])
+        return {k_lo + i: float(v) for i, v in enumerate(np.bincount(bins - k_lo, weights=sample_masses))}
+
+    def live_pixels(self, grid: QuadratureGrid, sample_masses: np.ndarray) -> range:
+        """The pixels from the first to the last momentum sample whose mass exceeds
+        1e-15 of the largest; NumericalError when no sample carries mass."""
+        live = np.flatnonzero(sample_masses > ZERO_MASS_TOL * max(float(np.max(sample_masses)), 1e-300))
+        if len(live) == 0:
+            raise NumericalError("state carries no measurable momentum mass")
+        p = grid.momentum_points
+        return range(self.bin_of(float(p[live[0]])), self.bin_of(float(p[live[-1]])) + 1)
 
     @property
     def gkp_compatible(self) -> bool:
@@ -301,17 +338,6 @@ def _position_slices(state: TwoModeState, mode: int, s_values: np.ndarray) -> np
     return kernel @ st.amplitudes.T
 
 
-def _gauss_legendre(lo: float, hi: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    half = 0.5 * (hi - lo)
-    return lo + half * (x + 1.0), half * w
-
-
-def _quad_nodes_per_bin(det: DetectorParams, grid: QuadratureGrid) -> int:
-    oscillations = 2.0 * det.eta / grid.dp
-    return max(_MIN_QUAD_NODES, int(math.ceil(4.0 * oscillations)))
-
-
 def _check_mode(mode: int) -> None:
     if mode not in (1, 2):
         raise ValidationError(f"mode must be 1 or 2, got {mode}")
@@ -333,34 +359,24 @@ def bin_probabilities(
     deliberately probing a rare bin, as post-selection does).
     """
     _check_mode(mode)
+    grid = state.grid
     ks = sorted(k_range) if k_range is not None else None
-    mass = None
-    out: dict[int, float] = {}
-    if det.sample_aligned(state.grid):
-        mass = _measured_axis_density(state, mode)
-        sample_bins = det.bin_of(state.grid.momentum_points)
-        for k in np.unique(sample_bins) if ks is None else ks:
-            out[int(k)] = float(np.sum(mass[sample_bins == k]))
+    # the sampled momentum marginal, wanted to bin, to find the live pixels or to measure the tail
+    mass = _measured_axis_density(state, mode) if det.sample_aligned(grid) or ks is None or warn_tail else None
+    if det.sample_aligned(grid):
+        out = det.pixel_masses(grid, mass)
+        if ks is not None:
+            out = {int(k): out.get(int(k), 0.0) for k in ks}
     else:
-        if ks is None:
-            # the pixels meeting the region where the sampled momentum marginal lives
-            mass = _measured_axis_density(state, mode)
-            p = state.grid.momentum_points[mass > ZERO_MASS_TOL * max(np.max(mass), 1e-300)]
-            if len(p) == 0:
-                raise NumericalError("state carries no measurable momentum mass")
-            ks = range(int(det.bin_of(float(p[0]))), int(det.bin_of(float(p[-1]))) + 1)
-        n_nodes = _quad_nodes_per_bin(det, state.grid)
         other = 2 if mode == 1 else 1
-        other_spacing = state.grid.rep_spacing(state.reps[other - 1])
-        for k in ks:
-            lo, hi = det.bin_interval(k)
-            nodes, wts = _gauss_legendre(lo, hi, n_nodes)
+        other_spacing = grid.rep_spacing(state.reps[other - 1])
+        out = {}
+        for k in det.live_pixels(grid, mass) if ks is None else ks:
+            nodes, wts = det.pixel_nodes(grid, k)
             slices = _position_slices(state, mode, nodes)
             density = np.sum(np.abs(slices) ** 2, axis=1) * other_spacing
             out[k] = float(np.dot(wts, density))
-    if warn_tail and k_range is not None:
-        if mass is None:
-            mass = _measured_axis_density(state, mode)
+    if warn_tail and ks is not None:
         tail = float(np.sum(mass)) - sum(out.values())
         if tail > TAIL_MASS_DIAGNOSTIC:
             warnings.warn(f"requested bins miss {tail:.3e} probability mass", TailMassWarning, stacklevel=2)
@@ -381,15 +397,13 @@ def project_bin(
     other = 2 if mode == 1 else 1
     other_rep = state.reps[other - 1]
     other_spacing = state.grid.rep_spacing(other_rep)
+    nodes, node_measure = det.pixel_nodes(state.grid, k)
     if det.sample_aligned(state.grid):
-        tilted = transform_mode(state, mode, Rep.MOMENTUM)
-        sample_bins = det.bin_of(state.grid.momentum_points)
-        idx = np.nonzero(sample_bins == k)[0]
-        slices = tilted.amplitudes[idx, :] if mode == 1 else tilted.amplitudes[:, idx].T
-        node_measure = np.full(len(idx), state.grid.dp)
+        tilted = transform_mode(state, mode, Rep.MOMENTUM).amplitudes
+        samples = det.pixel_samples(state.grid, k)
+        # contiguous rows, so that the row norms below are pairwise sums
+        slices = np.ascontiguousarray(tilted[samples, :] if mode == 1 else tilted[:, samples].T)
     else:
-        lo, hi = det.bin_interval(k)
-        nodes, node_measure = _gauss_legendre(lo, hi, _quad_nodes_per_bin(det, state.grid))
         slices = _position_slices(state, mode, nodes)
     sq_norms = np.sum(np.abs(slices) ** 2, axis=1) * other_spacing
     weights = sq_norms * node_measure

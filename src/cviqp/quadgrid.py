@@ -211,21 +211,24 @@ def inner_product(a: ModeState, b: ModeState) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes) * a.spacing)
 
 
-def _transform(amplitudes: np.ndarray, grid: QuadratureGrid, rep: Rep, axis: int = -1) -> np.ndarray:
+def _transform(
+    amplitudes: np.ndarray, grid: QuadratureGrid, rep: Rep, axis: int = -1, out: np.ndarray | None = None
+) -> np.ndarray:
     """Amplitudes transformed along ``axis`` into ``rep`` from the other representation.
 
     To momentum: phi(p_k) = (2*pi)^(-1/2) * sum_j exp(-i p_k q_j) psi(q_j) * dq,
     evaluated exactly by an FFT; to position: its inverse (the +i kernel).
     The half-extent offsets of both grids become alternating signs,
     exp(-i p_k q_j) = (-i)^n (-1)^j (-1)^k exp(-2i pi j k / n), with (-i)^n = 1
-    as 4 divides n.  Every other axis is a batch axis.
+    as 4 divides n.  Every other axis is a batch axis.  The result is written
+    to ``out`` when given, which may be ``amplitudes`` itself.
     """
     n = grid.n_points
     shape = [1] * np.ndim(amplitudes)
     shape[axis] = n
     s = np.tile([1.0, -1.0], n // 2).reshape(shape)
     fft, scale = (np.fft.fft, grid.dq) if rep is Rep.MOMENTUM else (np.fft.ifft, grid.dp * n)
-    out = s * amplitudes
+    out = np.multiply(s, amplitudes, out=out)
     fft(out, axis=axis, out=out)
     out *= s
     out *= scale / np.sqrt(2.0 * np.pi)

@@ -527,6 +527,26 @@ class TestMalformedInput:
         assert not out.exists()
         assert "n:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fourier-gadget", "--sigma", "0.1", "--eta", "0.01", "--grid-points", "1024", "--extent", "256"],
+            [*EC_SMALL, "--seed", "1", "--trials", "1"],
+            ["scaling", "--n", "1,10"],
+            ["dv", "--mode", "hadamard-gadget", "--trials", "2", "--seed", "1"],
+            ["readout", "--delta", "0.25", "--eta", str(SQRT_PI / 8), "--grid-points", "1024", "--extent", "64"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_out_exits_2_without_traceback(self, argv, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "x.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot write {out}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "no").exists()
+
     def test_usage_errors_and_help_return_their_status(self, capsys):
         assert main(["scaling", "--bogus"]) == 2
         assert "--bogus" in capsys.readouterr().err

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from cviqp.errors import ValidationError, ZeroMassBinError
@@ -205,7 +207,38 @@ class TestConditionalEnsemble:
             ens.components[0, 0] = 0.0
 
 
+@st.composite
+def short_distributions(draw):
+    """({k: p} summing to a drawn share below 1, seed)."""
+    ks = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=8, unique=True))
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=len(ks), max_size=len(ks)))
+    share = draw(st.floats(0.0, 0.99)) / max(sum(raw), 1e-300)
+    return {k: share * r for k, r in zip(ks, raw)}, draw(st.integers(0, 2**64))
+
+
+def documented_outcome(dist: dict[int, float], seed: int) -> int:
+    """The inverse CDF of the uniform draw of ``seed``; a draw past the mass
+    goes to the lowest k in the first half of the tail, the highest after."""
+    u = float(np.random.default_rng(seed).random())
+    ks = sorted(dist)
+    mass = 0.0
+    for k in ks:
+        mass += dist[k]
+        if u < mass:
+            return k
+    return ks[0] if u - mass < 0.5 * (1.0 - mass) else ks[-1]
+
+
 class TestSampleOutcome:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(short_distributions())
+    def test_short_distribution_follows_the_tail_rule(self, case):
+        dist, seed = case
+        assert sum(dist.values()) < 1.0
+        k = sample_outcome(dist, seed)
+        assert k == documented_outcome(dist, seed)
+        assert sample_outcome(dist, seed) == k
+
     def test_point_mass(self):
         assert sample_outcome({3: 1.0}, seed=0) == 3
         assert sample_outcome({3: 1.0}, seed=999) == 3

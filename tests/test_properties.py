@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from cviqp.gadgets import (
     ShiftNoise,
-    _pixel_samples,
     _seeded_uniforms,
     fourier_gadget,
     fourier_gadget_target,
@@ -95,23 +94,41 @@ def test_factored_ensemble_matches_the_oracle(case):
 
 @st.composite
 def pixel_queries(draw):
-    """(grid, detector, pixel) in the sample regime; eta is often a whole number
-    of dp, so that samples sit on pixel edges, where rounding decides the pixel."""
+    """(grid, detector, pixel, sample masses) in the sample regime, where eta is
+    often a whole number of dp, so that samples sit on pixel edges, where
+    rounding decides the pixel, or in the sub-grid regime (eta < 2 dp)."""
     n = draw(st.sampled_from([64, 256, 1024, 65536]))
     grid = self_dual_grid(n) if draw(st.booleans()) else make_grid(n, draw(st.floats(8.0, 400.0)))
-    steps = draw(st.integers(2, 40))
-    eta = steps * grid.dp if draw(st.booleans()) else draw(st.floats(2.0, 40.0)) * grid.dp
+    kind = draw(st.sampled_from(["steps", "sample", "sub_grid"]))
+    if kind == "steps":
+        eta = draw(st.integers(2, 40)) * grid.dp
+    else:
+        eta = draw(st.floats(2.0, 40.0) if kind == "sample" else st.floats(0.05, 1.99)) * grid.dp
     det = DetectorParams(eta=eta)
     bins = det.bin_of(grid.momentum_points)
-    return grid, det, draw(st.integers(int(bins[0]) - 2, int(bins[-1]) + 2))
+    masses = np.random.default_rng(draw(st.integers(0, 2**32))).random(n)
+    return grid, det, draw(st.integers(int(bins[0]) - 2, int(bins[-1]) + 2)), masses
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(pixel_queries())
 def test_bisected_pixel_range_is_the_bin_of_mask(case):
-    grid, det, k = case
-    lo, hi = _pixel_samples(det, grid, k)
+    grid, det, k, masses = case
+    samples = det.pixel_samples(grid, k)
+    lo, hi = samples.start, samples.stop
     assert np.array_equal(np.arange(lo, hi), np.nonzero(det.bin_of(grid.momentum_points) == k)[0])
+
+    nodes, measures = det.pixel_nodes(grid, k)
+    if det.sample_aligned(grid):
+        assert np.array_equal(nodes, grid.momentum_points[det.bin_of(grid.momentum_points) == k])
+        assert np.array_equal(measures, np.full(len(nodes), grid.dp))
+    else:
+        # hi - lo, not 2 eta: at large |k|, (c + eta) - (c - eta) loses bits
+        p_lo, p_hi = det.bin_interval(k)
+        assert np.all((p_lo < nodes) & (nodes < p_hi))
+        assert abs(np.sum(measures) - (p_hi - p_lo)) <= 1e-14 * (p_hi - p_lo)
+    total = np.sum(masses)
+    assert abs(sum(det.pixel_masses(grid, masses).values()) - total) <= 1e-13 * total
 
 
 @st.composite
