@@ -37,14 +37,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, ZeroMassBinError
+from .errors import NumericalError, ValidationError
 from .homodyne import (
-    ZERO_MASS_TOL,
     ConditionalEnsemble,
     DetectorParams,
     PixelWindows,
@@ -184,17 +183,17 @@ def _slices(measured: ModeState, s_values: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def _condition(
-    kept: ModeState, measured: ModeState, det: DetectorParams, k: int
-) -> tuple[np.ndarray, np.ndarray | PixelWindows, float]:
-    """Weights, position rows and total probability of the kept mode's ensemble
-    for pixel k of the measured mode after CZ.
+    kept: ModeState, measured: ModeState, det: DetectorParams, k: int, u: float = 0.0
+) -> ConditionalEnsemble:
+    """The kept mode's position ensemble for pixel k of the measured mode after
+    CZ, with the shift ``u`` pending on its rows.
 
     ``kept`` is in position, ``measured`` in either representation.  A row per
     node of ``det.pixel_nodes``: per grid sample in pixel k (sample regime) or
     per Gauss-Legendre node (sub-grid).  On a self-dual grid the node
     p_a + eps, p_a its nearest sample, is window a of the transform tilted by
     eps (:class:`PixelWindows`); elsewhere each row is a chirp-z slice in a
-    writable array.  Rows of weight 0 are dropped.
+    writable array.  :meth:`ConditionalEnsemble.from_pixel` weighs them.
     """
     _require_same_grid(kept, measured)
     g = measured.grid
@@ -210,29 +209,11 @@ def _condition(
         else:  # the sample regime: the grid transform itself
             transforms = as_rep(measured, Rep.MOMENTUM).amplitudes[np.newaxis]
         rows = PixelWindows(g, kept.amplitudes, transforms, samples, which)
-        weights = rows.sq_norms * node_measure
-        total = float(np.sum(weights))
-        keep = weights > 0.0
-        if not np.all(keep):  # a window of zero norm carries no state
-            weights, rows = weights[keep], replace(rows, samples=samples[keep], which=which[keep])
     else:
-        weights = np.empty(len(nodes))
         rows = np.empty((len(nodes), g.n_points), dtype=np.complex128)
-        m = 0
-        total = 0.0
-        for w_node, tilde in zip(node_measure.tolist(), _slices(measured, nodes)):
-            row = np.multiply(kept.amplitudes, tilde, out=rows[m])
-            sq = float(np.vdot(row, row).real * g.dq)
-            weight = sq * w_node
-            total += weight
-            if weight > 0.0:
-                row /= math.sqrt(sq)
-                weights[m] = weight
-                m += 1
-        weights, rows = weights[:m], rows[:m]
-    if total < ZERO_MASS_TOL:
-        raise ZeroMassBinError(f"bin k={k} carries probability {total:.3e}")
-    return weights, rows, total
+        for row, tilde in zip(rows, _slices(measured, nodes)):
+            np.multiply(kept.amplitudes, tilde, out=row)
+    return ConditionalEnsemble.from_pixel(g, Rep.POSITION, k, node_measure, rows, u)
 
 
 def _density_coefficients(kept: ModeState, measured: ModeState) -> np.ndarray:
@@ -330,7 +311,7 @@ def fourier_gadget(
     """
     pos = as_rep(psi, Rep.POSITION)
     kept = as_rep(squeezed_momentum(sigma, pos.grid), Rep.POSITION)
-    ens = ConditionalEnsemble(pos.grid, Rep.POSITION, *_condition(kept, pos, det, postselect_k))
+    ens = _condition(kept, pos, det, postselect_k)
     diagnostics: dict[str, float] = {
         "leading_order_probability": 2.0 * det.eta * sigma / SQRT_PI,
         "ensemble_purity": ens.purity(),
@@ -396,9 +377,7 @@ def gkp_error_correct(
     correction = -centered_mod_sqrt_pi(p_k)
 
     # the correction is left pending on the ensemble: its readers shift one vector, not every row
-    corrected = ConditionalEnsemble(
-        anc.grid, Rep.POSITION, *_condition(data_pos, anc, det, k), u=correction
-    )
+    corrected = _condition(data_pos, anc, det, k, u=correction)
 
     diagnostics: dict[str, float] = {
         "measured_pk": p_k,

@@ -18,11 +18,14 @@ of grid samples.  ``DetectorParams`` holds both regimes' pixel rule, for the
 oracle below and the engine in ``gadgets`` alike.  Conditioning on a pixel
 leaves the other mode in a mixture with one pure component per sample or
 node, held by ``ConditionalEnsemble`` as a weight vector, the normalized
-rows, and a position shift still pending on every row.  The rows are an
-array, or, for every pixel of the gadgets on a self-dual grid, their factors
-(``PixelWindows``): the kept mode and momentum transforms of the measured
-mode, of which each row reads a window.  The fidelity reads the factors;
-purity, principal component and ``components`` build the rows on first read.
+rows, and a position shift still pending on every row.  ``project_bin`` and
+the engine in ``gadgets`` both make it with ``ConditionalEnsemble.from_pixel``,
+which weighs the rows, drops those of weight 0 and normalizes the rest.  The
+rows are an array, or, for every pixel of the gadgets on a self-dual grid,
+their factors (``PixelWindows``): the kept mode and momentum transforms of
+the measured mode, of which each row reads a window.  The fidelity reads the
+factors; purity, principal component and ``components`` build the rows on
+first read.
 
 ``bin_probabilities`` and ``project_bin`` act on a materialized
 ``TwoModeState`` (n x n amplitudes), with the measured-mode momentum slice at
@@ -39,7 +42,7 @@ import bisect
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -155,7 +158,7 @@ class PixelWindows:
     and a = ``samples[i]``, normalized.  One untilted transform serves a
     sample-regime pixel, and each sub-grid node reads its own.  Squared norms
     and overlaps with a target are one dot per window; :meth:`build` makes
-    the rows, n complex numbers each, and iterating yields them.
+    the rows, n complex numbers each.
     """
 
     grid: QuadratureGrid
@@ -167,9 +170,6 @@ class PixelWindows:
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.samples), self.grid.n_points)
-
-    def __iter__(self):
-        return iter(self.build())
 
     def _windows(self, stack: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         """(i, the window of ``stack[which[i]]`` that row i reads) for every row: a
@@ -206,12 +206,18 @@ class PixelWindows:
         return self._window_dots(np.conj(target) * self.kept, self.transforms)
 
     def build(self) -> np.ndarray:
-        """The normalized rows, one (n,) position wavefunction per window."""
+        """The rows, one (n,) position wavefunction per window, normalized by :attr:`sq_norms`."""
         rows = np.empty(self.shape, dtype=np.complex128)
+        norms = np.sqrt(self.sq_norms).tolist()
         for i, window in self._windows(self.transforms):
-            row = np.multiply(self.kept, window, out=rows[i])
-            row /= math.sqrt(float(np.vdot(row, row).real * self.grid.dq))
+            np.multiply(self.kept, window, out=rows[i])
+            rows[i] /= norms[i]
         return rows
+
+
+def _row_sq_norms(rows: np.ndarray) -> np.ndarray:
+    """sum_j |rows[i, j]|^2 of each row: a dot per row, with no (m, n) temporary."""
+    return np.array([np.vdot(row, row).real for row in rows])
 
 
 class ConditionalEnsemble:
@@ -220,7 +226,8 @@ class ConditionalEnsemble:
     Row i of ``rows`` is a normalized wavefunction in ``rep`` on ``grid``: the
     state left by one momentum sample (or quadrature node) inside the measured
     pixel, and ``weights[i]`` is its probability mass.  ``total_probability``
-    is the probability of the pixel, the sum of the weights.
+    is the probability of the pixel, ``float(np.sum(weights))``.  A pixel's
+    ensemble comes from :meth:`from_pixel`; the constructor takes the rows as given.
 
     ``rows`` is given either as an array or as :class:`PixelWindows`.  The
     gadgets pass windows for every pixel of a self-dual grid; ``windows``
@@ -247,7 +254,6 @@ class ConditionalEnsemble:
         rep: Rep,
         weights: np.ndarray,
         rows: np.ndarray | PixelWindows,
-        total_probability: float,
         u: float = 0.0,
     ) -> None:
         w = np.asarray(weights, dtype=np.float64)
@@ -264,11 +270,38 @@ class ConditionalEnsemble:
         w.flags.writeable = False
         # __setattr__ refuses every attribute: fill the instance dict directly
         vars(self).update(
-            grid=grid, rep=rep, weights=w, total_probability=total_probability, u=u, windows=windows
+            grid=grid, rep=rep, weights=w, total_probability=float(np.sum(w)), u=u, windows=windows
         )
         if c is not None:
             c.flags.writeable = False
             vars(self)["rows"] = c  # a given array takes the place of the built rows
+
+    @classmethod
+    def from_pixel(
+        cls, grid: QuadratureGrid, rep: Rep, k: int, measures: np.ndarray,
+        vectors: np.ndarray | PixelWindows, u: float = 0.0,
+    ) -> ConditionalEnsemble:
+        """The ensemble of pixel k from one unnormalized row per node and the nodes' measures.
+
+        Row i weighs ``measures[i]`` times its squared norm, which also
+        normalizes it; rows of weight 0 carry no state and are dropped.
+        Raises ZeroMassBinError when the weights sum below 1e-15.
+        """
+        windows = isinstance(vectors, PixelWindows)
+        sq_norms = vectors.sq_norms if windows else _row_sq_norms(vectors) * grid.rep_spacing(rep)
+        weights = sq_norms * measures
+        total = float(np.sum(weights))
+        if total < ZERO_MASS_TOL:
+            raise ZeroMassBinError(f"bin k={k} carries probability {total:.3e} (< {ZERO_MASS_TOL:.0e})")
+        keep = weights > 0.0
+        if windows:
+            if not np.all(keep):
+                vectors = replace(vectors, samples=vectors.samples[keep], which=vectors.which[keep])
+        else:  # an array is normalized in place, or in a copy when a row goes or it is read-only
+            if not (np.all(keep) and vectors.flags.writeable):
+                vectors, sq_norms = vectors[keep], sq_norms[keep]
+            vectors /= np.sqrt(sq_norms)[:, np.newaxis]
+        return cls(grid, rep, weights[keep], vectors, u)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"ConditionalEnsemble is read-only: cannot set {name!r}")
@@ -290,8 +323,9 @@ class ConditionalEnsemble:
         shifted.flags.writeable = False
         return shifted
 
+    @functools.cached_property
     def _overlaps(self) -> np.ndarray:
-        """Unscaled Gram matrix sum_j conj(a_ij) a_kj of the rows (shift-invariant)."""
+        """Unscaled Gram matrix sum_j conj(a_ij) a_kj of the rows (shift-invariant), computed once."""
         return np.conj(self.rows) @ self.rows.T
 
     def principal_component(self) -> ModeState:
@@ -301,7 +335,7 @@ class ConditionalEnsemble:
             top = ModeState(self.grid, self.rep, self.rows[0])
         else:
             spacing = self.grid.rep_spacing(self.rep)
-            gram = (np.sqrt(np.outer(w, w))) * self._overlaps() * spacing
+            gram = (np.sqrt(np.outer(w, w))) * self._overlaps * spacing
             evals, evecs = np.linalg.eigh(gram)
             coeff = np.sqrt(w) * evecs[:, -1]
             top = normalized(ModeState(self.grid, self.rep, coeff @ self.rows))
@@ -310,7 +344,7 @@ class ConditionalEnsemble:
     def purity(self) -> float:
         """Tr[rho^2] / (Tr rho)^2 of the ensemble density operator."""
         w = self.weights
-        overlaps = np.abs(self._overlaps() * self.grid.rep_spacing(self.rep)) ** 2
+        overlaps = np.abs(self._overlaps * self.grid.rep_spacing(self.rep)) ** 2
         return float(w @ overlaps @ w / np.sum(w) ** 2)
 
 
@@ -390,32 +424,20 @@ def project_bin(
 
     The measured mode is removed; the result is a weighted ensemble of pure
     states of the other mode, one per momentum sample (sample regime) or
-    quadrature node (sub-grid regime) inside the pixel.  Raises
-    ZeroMassBinError when the pixel mass is below 1e-15.
+    quadrature node (sub-grid regime) inside the pixel, by :meth:`ConditionalEnsemble.from_pixel`.
+    Raises ZeroMassBinError when the pixel mass is below 1e-15.
     """
     _check_mode(mode)
     other = 2 if mode == 1 else 1
-    other_rep = state.reps[other - 1]
-    other_spacing = state.grid.rep_spacing(other_rep)
     nodes, node_measure = det.pixel_nodes(state.grid, k)
     if det.sample_aligned(state.grid):
         tilted = transform_mode(state, mode, Rep.MOMENTUM).amplitudes
         samples = det.pixel_samples(state.grid, k)
-        # contiguous rows, so that the row norms below are pairwise sums
+        # contiguous rows: the row norms and the normalization read them in order
         slices = np.ascontiguousarray(tilted[samples, :] if mode == 1 else tilted[:, samples].T)
     else:
         slices = _position_slices(state, mode, nodes)
-    sq_norms = np.sum(np.abs(slices) ** 2, axis=1) * other_spacing
-    weights = sq_norms * node_measure
-    total = float(np.sum(weights))
-    if total < ZERO_MASS_TOL:
-        raise ZeroMassBinError(
-            f"bin k={k} carries probability {total:.3e} (< {ZERO_MASS_TOL:.0e})"
-        )
-    keep = weights > 0.0
-    rows = slices[keep]
-    rows /= np.sqrt(sq_norms[keep])[:, np.newaxis]
-    return ConditionalEnsemble(state.grid, other_rep, weights[keep], rows, total)
+    return ConditionalEnsemble.from_pixel(state.grid, state.reps[other - 1], k, node_measure, slices)
 
 
 def ensemble_fidelity(ensemble: ConditionalEnsemble, target: ModeState) -> float:
@@ -437,9 +459,7 @@ def ensemble_fidelity(ensemble: ConditionalEnsemble, target: ModeState) -> float
         sq_norms, overlaps = ensemble.windows.sq_norms, ensemble.windows.overlaps(t.amplitudes)
     else:
         rows = ensemble.rows
-        # row norms from the real and imaginary views: no (m, n) temporary
-        sq_norms = np.einsum("ij,ij->i", rows.real, rows.real) + np.einsum("ij,ij->i", rows.imag, rows.imag)
-        sq_norms *= t.spacing
+        sq_norms = _row_sq_norms(rows) * t.spacing
         overlaps = rows @ np.conj(t.amplitudes) * t.spacing
     fids = np.minimum(np.abs(overlaps) ** 2 / sq_norms, 1.0)
     return float(np.dot(w, fids) / np.sum(w))
@@ -486,10 +506,8 @@ def gkp_readout(psi: ModeState, det: DetectorParams) -> ReadoutResult:
     """
     det.require_gkp_compatible()
     phi = as_rep(psi, Rep.MOMENTUM)
-    p = phi.grid.momentum_points
-    mass = phi.density() * phi.grid.dp
-    window = np.floor(p / SQRT_PI + 0.5).astype(int)
-    even = (window % 2) == 0
-    p_plus = float(np.sum(mass[even]))
-    p_minus = float(np.sum(mass[~even]))
+    # the sqrt(pi) windows are the pixels of half-width sqrt(pi)/2
+    masses = DetectorParams(eta=SQRT_PI / 2.0).pixel_masses(phi.grid, phi.density() * phi.grid.dp)
+    p_plus = sum(m for k, m in masses.items() if k % 2 == 0)
+    p_minus = sum(m for k, m in masses.items() if k % 2 != 0)
     return ReadoutResult(p_plus=p_plus, p_minus=p_minus, p_error=min(p_plus, p_minus))

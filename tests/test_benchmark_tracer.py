@@ -38,5 +38,5 @@ def test_every_traced_name_resolves():
 
 def test_ensemble_has_what_the_tracer_counts():
     grid = make_grid(64, 8.0)
-    ens = ConditionalEnsemble(grid, Rep.POSITION, np.ones(2), np.ones((2, grid.n_points)), 1.0)
+    ens = ConditionalEnsemble(grid, Rep.POSITION, np.ones(2), np.ones((2, grid.n_points)))
     assert len(ens.components) == len(ens.weights) == 2

@@ -319,12 +319,12 @@ class TestGkpErrorCorrect:
         # the ancilla in the representation gkp_error_correct hands over
         anc = gkp_zero(params, grid)
         anc = to_momentum(anc) if grid.is_self_dual else anc
-        weights, rows, total = _condition(data, anc, det, rep.outcome_k)
-        assert np.array_equal(rep.output.weights, weights)
-        assert rep.output.total_probability == total
-        assert rep.output.components.shape == rows.shape
+        uncorrected = _condition(data, anc, det, rep.outcome_k)
+        assert np.array_equal(rep.output.weights, uncorrected.weights)
+        assert rep.output.total_probability == uncorrected.total_probability
+        assert rep.output.components.shape == uncorrected.rows.shape
         correction = rep.diagnostics["applied_correction"]
-        for row, out in zip(rows, rep.output.components):
+        for row, out in zip(uncorrected.rows, rep.output.components):
             shifted = displace_q(ModeState(grid, Rep.POSITION, row), correction)
             assert np.array_equal(shifted.amplitudes, out)
 
@@ -406,13 +406,13 @@ class TestGkpErrorCorrect:
         assert not det.sample_aligned(grid)
         data = displace_q(gkp_plus(params, grid), 0.2)
         anc = gkp_zero(params, grid)
-        weights, rows, total = _condition(data, anc, det, 0)
+        whole = _condition(data, anc, det, 0)
         monkeypatch.setattr(gadgets, "_CZT_BATCH_POINTS", 5 * 2 * grid.n_points)  # 5 nodes a batch
         batched = _condition(data, anc, det, 0)
-        assert len(weights) > 2 * 5
-        assert np.array_equal(batched[0], weights)
-        assert np.array_equal(batched[1], rows)
-        assert batched[2] == total
+        assert len(whole.weights) > 2 * 5
+        assert np.array_equal(batched.weights, whole.weights)
+        assert np.array_equal(batched.rows, whole.rows)
+        assert batched.total_probability == whole.total_probability
 
 
 class TestDefaultAncilla:
@@ -465,7 +465,7 @@ class TestDeferredCorrection:
         rep = gkp_error_correct(displace_q(clean, 0.2), params, ShiftNoise.none(), det, seed=7)
         ens = rep.output
         assert ens.u == rep.diagnostics["applied_correction"] != 0.0
-        shifted = ConditionalEnsemble(grid, ens.rep, ens.weights, ens.components, ens.total_probability)
+        shifted = ConditionalEnsemble(grid, ens.rep, ens.weights, ens.components)
         assert shifted.u == 0.0 and shifted.components is shifted.rows
         for target in (clean, to_momentum(clean), displace_q(clean, 0.1), gkp_zero(params, grid)):
             assert abs(ensemble_fidelity(ens, target) - ensemble_fidelity(shifted, target)) <= 1e-13
@@ -509,9 +509,9 @@ class TestDeferredCorrection:
     def test_quarter_extent_shift_rejected_when_built(self, scale):
         grid = ORACLE_GRIDS["general"]
         rows = np.ones((1, grid.n_points))
-        ConditionalEnsemble(grid, Rep.POSITION, [1.0], rows, 1.0, u=0.999 * grid.extent / 4)
+        ConditionalEnsemble(grid, Rep.POSITION, [1.0], rows, u=0.999 * grid.extent / 4)
         with pytest.raises(ValidationError):
-            ConditionalEnsemble(grid, Rep.POSITION, [1.0], rows, 1.0, u=scale * grid.extent / 4)
+            ConditionalEnsemble(grid, Rep.POSITION, [1.0], rows, u=scale * grid.extent / 4)
 
 
 class TestFactoredEnsemble:

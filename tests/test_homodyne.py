@@ -162,10 +162,59 @@ class TestProjectBin:
             assert fidelity_pure(comp, a) == pytest.approx(1.0, abs=1e-10)
 
 
+class TestFromPixel:
+    """``ConditionalEnsemble.from_pixel`` weighs, drops and normalizes a pixel's rows."""
+
+    measures = np.array([0.5, 0.25, 0.125, 2.0])
+
+    @staticmethod
+    def vectors(grid):
+        rng = np.random.default_rng(21)
+        v = 0.1 * (rng.normal(size=(4, grid.n_points)) + 1j * rng.normal(size=(4, grid.n_points)))
+        v[2] = 0.0
+        return v
+
+    def test_weights_are_measure_times_squared_norm(self, grid_small):
+        v = self.vectors(grid_small)
+        ens = ConditionalEnsemble.from_pixel(grid_small, Rep.MOMENTUM, 3, self.measures, v.copy())
+        expected = self.measures * np.sum(np.abs(v) ** 2, axis=1) * grid_small.dp
+        kept = [0, 1, 3]
+        np.testing.assert_allclose(ens.weights, expected[kept], rtol=1e-15, atol=0.0)
+        assert ens.total_probability == float(np.sum(ens.weights))
+
+    def test_zero_row_is_dropped(self, grid_small):
+        v = self.vectors(grid_small)
+        ens = ConditionalEnsemble.from_pixel(grid_small, Rep.MOMENTUM, 3, self.measures, v.copy())
+        assert len(ens.weights) == len(ens.rows) == len(ens.components) == 3
+        assert np.all(ens.weights > 0.0)
+        for row, i in zip(ens.rows, [0, 1, 3]):
+            assert abs(np.vdot(row, v[i])) > 0.0
+
+    def test_rows_are_unit_norm(self, grid_small):
+        v = self.vectors(grid_small)
+        ens = ConditionalEnsemble.from_pixel(grid_small, Rep.MOMENTUM, 3, self.measures, v)
+        norms = np.sum(np.abs(ens.rows) ** 2, axis=1) * grid_small.dp
+        assert np.max(np.abs(norms - 1.0)) <= 1e-14
+
+    def test_read_only_rows_are_copied(self, grid_small):
+        v = self.vectors(grid_small)[[0, 1, 3]]
+        v.flags.writeable = False
+        before = v.copy()
+        ens = ConditionalEnsemble.from_pixel(grid_small, Rep.POSITION, 0, self.measures[:3], v)
+        assert np.array_equal(v, before)
+        norms = np.sum(np.abs(ens.rows) ** 2, axis=1) * grid_small.dq
+        assert np.max(np.abs(norms - 1.0)) <= 1e-14
+
+    def test_zero_mass_pixel_raises_naming_k(self, grid_small):
+        v = 1e-10 * self.vectors(grid_small)
+        with pytest.raises(ZeroMassBinError, match="k=-7"):
+            ConditionalEnsemble.from_pixel(grid_small, Rep.POSITION, -7, self.measures, v)
+
+
 class TestEnsembleFidelity:
     def test_single_component_equal_to_target(self, grid_small):
         psi = random_smooth_state(grid_small, seed=11)
-        ens = ConditionalEnsemble(grid_small, psi.rep, [0.3], [psi.amplitudes], 0.3)
+        ens = ConditionalEnsemble(grid_small, psi.rep, [0.3], [psi.amplitudes])
         assert ensemble_fidelity(ens, psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_equal_mixture_with_orthogonal_state(self, grid_small):
@@ -180,12 +229,12 @@ class TestEnsembleFidelity:
             ModeState(grid_small, Rep.POSITION, other.amplitudes - coeff * psi.amplitudes)
         )
         rows = [psi.amplitudes, orth.amplitudes]
-        ens = ConditionalEnsemble(grid_small, Rep.POSITION, [0.5, 0.5], rows, 1.0)
+        ens = ConditionalEnsemble(grid_small, Rep.POSITION, [0.5, 0.5], rows)
         assert ensemble_fidelity(ens, psi) == pytest.approx(0.5, abs=1e-9)
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValidationError):
-            ConditionalEnsemble(make_grid(256, 30.0), Rep.POSITION, [], np.zeros((0, 256)), 0.0)
+            ConditionalEnsemble(make_grid(256, 30.0), Rep.POSITION, [], np.zeros((0, 256)))
 
 
 class TestConditionalEnsemble:
@@ -194,7 +243,7 @@ class TestConditionalEnsemble:
     )
     def test_components_shape_must_be_weights_by_grid_points(self, grid_small, n_weights, shape):
         with pytest.raises(ValidationError):
-            ConditionalEnsemble(grid_small, Rep.POSITION, [0.5] * n_weights, np.ones(shape), 1.0)
+            ConditionalEnsemble(grid_small, Rep.POSITION, [0.5] * n_weights, np.ones(shape))
 
     def test_arrays_are_read_only(self, grid_small):
         a = random_smooth_state(grid_small, seed=5)

@@ -84,9 +84,7 @@ def test_factored_ensemble_matches_the_oracle(case):
     scaled = np.sqrt(ens.weights)[:, np.newaxis] * ens.rows
     assert np.max(np.abs(scaled - np.sqrt(oracle.weights)[:, np.newaxis] * oracle.rows)) <= 1e-12
 
-    shifted = ConditionalEnsemble(
-        oracle.grid, oracle.rep, oracle.weights, oracle.rows, oracle.total_probability, u=ens.u
-    )
+    shifted = ConditionalEnsemble(oracle.grid, oracle.rep, oracle.weights, oracle.rows, u=ens.u)
     for target in (data, as_rep(ancilla, Rep.MOMENTUM)):
         assert abs(ensemble_fidelity(ens, target) - ensemble_fidelity(shifted, target)) <= 1e-13
     assert abs(ens.purity() - oracle.purity()) <= 1e-13
