@@ -16,16 +16,17 @@ conditional slice at measured momentum s factorizes as
 kept(q) * meas_tilde(s - q), with meas_tilde the momentum transform of the
 measured mode, so slices and the full outcome distribution cost O(n log n)
 and no n x n array is built.  The grid kind alone chooses how a slice is
-taken: on a self-dual grid (dq == dp) as a window of a grid FFT, which the
-ensemble keeps unbuilt (its weights and overlaps with a target are one dot
-per window), and on any other grid as a chirp-z transform (Bluestein's
-algorithm).  The GKP correction stays pending on the ensemble, whose readers
-apply it to the one vector each of them reads.  A sample-regime correction
-trial on a self-dual grid takes six FFTs, fidelity included: one ancilla
-transform (of a default |0> comb built once per grid and params), three real
-FFTs for the outcome masses and two for the target's in-place shift.  The
-materialized two-mode path of the homodyne module computes the same numbers
-and serves as the brute-force oracle in the tests.
+taken: on a self-dual grid (dq == dp) as a window of a grid FFT, and on any
+other grid as a chirp-z transform (Bluestein's algorithm).  Either way the
+ensemble keeps the kept mode and the slices as factors, and its weights and
+overlaps with a target are one dot per row.  The GKP correction stays
+pending on the ensemble, whose readers apply it to the one vector each of
+them reads.  A sample-regime correction trial on a self-dual grid takes six
+FFTs, fidelity included: one ancilla transform (of a default |0> comb built
+once per grid and params), three real FFTs for the outcome masses and two
+for the target's in-place shift.  The materialized two-mode path of the
+homodyne module computes the same numbers and serves as the brute-force
+oracle in the tests.
 
 The Fourier gadget's finite-squeezing target (psi convolved with a width-sigma
 Gaussian, read in momentum) is in position the ideal output F psi times the
@@ -38,7 +39,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -137,7 +138,8 @@ class GadgetReport:
 #
 # On a self-dual grid dq^2 n = 2 pi and q_m = p_m, so with s = p_a + eps the
 # slice is meas_tilde at p_a - p_m + eps: a window of the length-n FFT of
-# psi exp(-i eps q) (PixelWindows).  Chirp-z slices serve every other grid.
+# psi exp(-i eps q).  Chirp-z slices serve every other grid.  The ensemble
+# holds either kind as factors (PixelWindows).
 #
 # The chirp-z transform is written here in numpy because the package imports
 # no scipy, and because scipy.signal's w**(k**2/2) chirps drift off the unit
@@ -169,17 +171,19 @@ def _czt(x: np.ndarray, theta: float, j0: int, n_out: int, a0: int) -> np.ndarra
     return _chirp(theta, np.arange(n_out) + a0) * conv
 
 
-def _slices(measured: ModeState, s_values: np.ndarray) -> Iterator[np.ndarray]:
-    """meas_tilde(s - q_m) over the grid, one array per measured value s."""
+def _slices(measured: ModeState, s_values: np.ndarray) -> np.ndarray:
+    """meas_tilde(s - q_m) over the grid, one row per measured value s."""
     g = measured.grid
     n = g.n_points
     psi = as_rep(measured, Rep.POSITION).amplitudes
     q = g.points
     scale = g.dq / math.sqrt(2.0 * math.pi)
     batch = max(1, _CZT_BATCH_POINTS // (2 * n))
+    out = np.empty((len(s_values), n), dtype=np.complex128)
     for lo in range(0, len(s_values), batch):
         x = psi * np.exp(-1j * np.outer(s_values[lo : lo + batch], q))
-        yield from scale * _czt(x, g.dq**2, -(n // 2), n, -(n // 2))
+        np.multiply(scale, _czt(x, g.dq**2, -(n // 2), n, -(n // 2)), out=out[lo : lo + batch])
+    return out
 
 
 def _condition(
@@ -190,30 +194,34 @@ def _condition(
 
     ``kept`` is in position, ``measured`` in either representation.  A row per
     node of ``det.pixel_nodes``: per grid sample in pixel k (sample regime) or
-    per Gauss-Legendre node (sub-grid).  On a self-dual grid the node
-    p_a + eps, p_a its nearest sample, is window a of the transform tilted by
-    eps (:class:`PixelWindows`); elsewhere each row is a chirp-z slice in a
-    writable array.  :meth:`ConditionalEnsemble.from_pixel` weighs them.
+    per Gauss-Legendre node (sub-grid).  Each row is ``kept`` times a shifted
+    vector of a stack (:class:`PixelWindows`).  On a self-dual grid the node
+    p_a + eps, p_a its nearest sample, leaves kept[m] T[(a + n/2 - m) % n],
+    with T the transform tilted by eps: the stack holds the transforms
+    reversed, R[j] = T[n - 1 - j], read at the shift a + n/2 + 1.  Elsewhere
+    the stack is the nodes' chirp-z slices, unshifted.
+    :meth:`ConditionalEnsemble.from_pixel` weighs the rows.
     """
     _require_same_grid(kept, measured)
     g = measured.grid
+    n = g.n_points
     nodes, node_measure = det.pixel_nodes(g, k)
     if g.is_self_dual:
-        n = g.n_points
         samples = np.clip(np.rint(nodes / g.dp).astype(np.int64) + n // 2, 0, n - 1)
         eps, which = np.unique(nodes - g.momentum_points[samples], return_inverse=True)
         if np.any(eps):  # one transform of measured * exp(-i eps q) per offset, one batched FFT
-            tilted = _unit_phase(np.outer(-eps, g.points))
-            tilted *= as_rep(measured, Rep.POSITION).amplitudes
-            transforms = _transform(tilted, g, Rep.MOMENTUM, out=tilted)
+            stack = _unit_phase(np.outer(-eps, g.points))
+            stack *= as_rep(measured, Rep.POSITION).amplitudes
+            _transform(stack, g, Rep.MOMENTUM, out=stack)
+            for row in stack:  # reversed in place, a row at a time: contiguous for the dots
+                row[:] = row[::-1]
         else:  # the sample regime: the grid transform itself
-            transforms = as_rep(measured, Rep.MOMENTUM).amplitudes[np.newaxis]
-        rows = PixelWindows(g, kept.amplitudes, transforms, samples, which)
-    else:
-        rows = np.empty((len(nodes), g.n_points), dtype=np.complex128)
-        for row, tilde in zip(rows, _slices(measured, nodes)):
-            np.multiply(kept.amplitudes, tilde, out=row)
-    return ConditionalEnsemble.from_pixel(g, Rep.POSITION, k, node_measure, rows, u)
+            stack = as_rep(measured, Rep.MOMENTUM).amplitudes[np.newaxis, ::-1].copy()
+        windows = PixelWindows(kept.amplitudes, stack, which, (samples + n // 2 + 1) % n)
+    else:  # one chirp-z slice per node, unshifted
+        which = np.arange(len(nodes))
+        windows = PixelWindows(kept.amplitudes, _slices(measured, nodes), which, np.zeros_like(which))
+    return ConditionalEnsemble.from_pixel(g, Rep.POSITION, k, node_measure, windows, u)
 
 
 def _density_coefficients(kept: ModeState, measured: ModeState) -> np.ndarray:

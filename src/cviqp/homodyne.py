@@ -18,14 +18,13 @@ of grid samples.  ``DetectorParams`` holds both regimes' pixel rule, for the
 oracle below and the engine in ``gadgets`` alike.  Conditioning on a pixel
 leaves the other mode in a mixture with one pure component per sample or
 node, held by ``ConditionalEnsemble`` as a weight vector, the normalized
-rows, and a position shift still pending on every row.  ``project_bin`` and
-the engine in ``gadgets`` both make it with ``ConditionalEnsemble.from_pixel``,
+rows, and a position shift still pending on every row.  The rows are always
+held by their factors (``PixelWindows``): row i is the kept mode times a
+cyclic shift of one vector of a stack.  ``project_bin`` and the engine in
+``gadgets`` both make the ensemble with ``ConditionalEnsemble.from_pixel``,
 which weighs the rows, drops those of weight 0 and normalizes the rest.  The
-rows are an array, or, for every pixel of the gadgets on a self-dual grid,
-their factors (``PixelWindows``): the kept mode and momentum transforms of
-the measured mode, of which each row reads a window.  The fidelity reads the
-factors; purity, principal component and ``components`` build the rows on
-first read.
+fidelity reads the factors; purity, principal component and ``components``
+build the rows on first read.
 
 ``bin_probabilities`` and ``project_bin`` act on a materialized
 ``TwoModeState`` (n x n amplitudes), with the measured-mode momentum slice at
@@ -43,7 +42,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -149,75 +148,76 @@ class DetectorParams:
 
 @dataclass(frozen=True)
 class PixelWindows:
-    """The rows of a pixel ensemble held by their factors, on a self-dual grid.
+    """The rows of a pixel ensemble, held by their factors.
 
-    After CZ, the measured momentum s = p_a + eps leaves the kept mode in
-    kept[m] * W[m], W[m] = T[(a + n/2 - m) % n], with T the momentum
-    wavefunction of the measured mode times exp(-i eps q): a window of T,
-    selected by a.  Row i is that product for T = ``transforms[which[i]]``
-    and a = ``samples[i]``, normalized.  One untilted transform serves a
-    sample-regime pixel, and each sub-grid node reads its own.  Squared norms
-    and overlaps with a target are one dot per window; :meth:`build` makes
-    the rows, n complex numbers each.
+    Row i is kept * roll(stack[which[i]], shifts[i]), normalized: the kept
+    mode times a cyclic window of one vector of the stack, which the
+    producer chooses.  On a self-dual grid the stack holds reversed momentum
+    transforms of the measured mode and the shift selects the sample; on any
+    other grid it holds one chirp-z slice per node, unshifted; an array of
+    rows is its own stack, with a kept mode of ones.  Squared norms and
+    overlaps with a target are one contiguous dot per row, without the
+    spacing; :meth:`build` makes the rows, n complex numbers each.
     """
 
-    grid: QuadratureGrid
     kept: np.ndarray
-    transforms: np.ndarray
-    samples: np.ndarray
+    stack: np.ndarray
     which: np.ndarray
+    shifts: np.ndarray
+
+    @classmethod
+    def of_rows(cls, rows: np.ndarray) -> PixelWindows:
+        """The given rows as factors: each its own stack vector, unshifted, kept mode ones."""
+        rows = np.asarray(rows, dtype=np.complex128)
+        if rows.ndim != 2:
+            raise ValidationError(f"rows have shape {rows.shape}, expected (m, n_points)")
+        which = np.arange(len(rows))
+        return cls(np.ones(rows.shape[-1]), rows, which, np.zeros_like(which))
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.samples), self.grid.n_points)
+    def shape(self) -> tuple[int, ...]:
+        return (len(self.which), *self.stack.shape[1:])
 
-    def _windows(self, stack: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-        """(i, the window of ``stack[which[i]]`` that row i reads) for every row: a
-        slice of that transform reversed and laid twice end to end, one at a time."""
-        n = self.grid.n_points
-        starts = ((n // 2 - 1 - self.samples) % n).tolist()
-        for t in np.unique(self.which).tolist():
-            doubled = np.concatenate((stack[t][::-1], stack[t][::-1]))
-            for i in np.flatnonzero(self.which == t).tolist():
-                yield i, doubled[starts[i] : starts[i] + n]
+    def _dots(self, x: np.ndarray, stack: np.ndarray) -> np.ndarray:
+        """sum_m x[m] roll(stack[which[i]], s)[m] with s = shifts[i], for each row i.
 
-    def _window_dots(self, x: np.ndarray, stack: np.ndarray) -> np.ndarray:
-        """dq sum_m x[m] y[(a + n/2 - m) % n] for each row, with y its transform
-        in ``stack``: one dot per window."""
-        out = np.empty(len(self.samples), dtype=np.result_type(x, stack))
-        for i, window in self._windows(stack):
-            out[i] = np.dot(x, window)
-        return out * self.grid.dq
+        That is sum_j x[(j + s) % n] stack[which[i], j]: one contiguous dot per
+        row, against x laid twice end to end, a copy of x made once per read.
+        """
+        n = len(x)
+        doubled = np.concatenate((x, x))
+        out = np.empty(len(self.which), dtype=np.result_type(x, stack))
+        for i, (t, s) in enumerate(zip(self.which.tolist(), self.shifts.tolist())):
+            out[i] = np.dot(doubled[s : s + n], stack[t])
+        return out
 
     @functools.cached_property
     def sq_norms(self) -> np.ndarray:
-        """dq sum_m |kept[m] W[m]|^2 of each unnormalized row.
+        """sum_m |kept[m] roll(...)[m]|^2 of each unnormalized row.
 
         Each is a sum of non-negative terms, so it is exact to rounding relative
         to itself, however small; the circular convolution of the outcome
         masses rounds relative to the whole distribution instead.
         """
-        return self._window_dots(np.abs(self.kept) ** 2, np.abs(self.transforms) ** 2)
+        sq = np.abs(self.stack)
+        return self._dots(np.abs(self.kept) ** 2, np.multiply(sq, sq, out=sq))
 
     def overlaps(self, target: np.ndarray) -> np.ndarray:
-        """dq sum_m conj(target[m]) kept[m] W[m] of each unnormalized row, for
-        position amplitudes ``target``; like :attr:`sq_norms`, each is exact to
-        rounding relative to its own row."""
-        return self._window_dots(np.conj(target) * self.kept, self.transforms)
+        """sum_m conj(target[m]) kept[m] roll(...)[m] of each unnormalized row;
+        like :attr:`sq_norms`, each is exact to rounding relative to its own row."""
+        return self._dots(np.conj(target) * self.kept, self.stack)
 
-    def build(self) -> np.ndarray:
-        """The rows, one (n,) position wavefunction per window, normalized by :attr:`sq_norms`."""
+    def build(self, norms: Iterable[float]) -> np.ndarray:
+        """The rows, each divided by its entry of ``norms``: multiplied by the
+        reciprocal, as numpy's complex division by a real does (Smith's
+        algorithm), at a fifth of its cost."""
+        n = len(self.kept)
         rows = np.empty(self.shape, dtype=np.complex128)
-        norms = np.sqrt(self.sq_norms).tolist()
-        for i, window in self._windows(self.transforms):
-            np.multiply(self.kept, window, out=rows[i])
-            rows[i] /= norms[i]
+        for row, t, s, norm in zip(rows, self.which.tolist(), self.shifts.tolist(), norms):
+            np.multiply(self.kept[s:], self.stack[t, : n - s], out=row[s:])
+            np.multiply(self.kept[:s], self.stack[t, n - s :], out=row[:s])
+            row *= 1.0 / norm
         return rows
-
-
-def _row_sq_norms(rows: np.ndarray) -> np.ndarray:
-    """sum_j |rows[i, j]|^2 of each row: a dot per row, with no (m, n) temporary."""
-    return np.array([np.vdot(row, row).real for row in rows])
 
 
 class ConditionalEnsemble:
@@ -227,16 +227,15 @@ class ConditionalEnsemble:
     state left by one momentum sample (or quadrature node) inside the measured
     pixel, and ``weights[i]`` is its probability mass.  ``total_probability``
     is the probability of the pixel, ``float(np.sum(weights))``.  A pixel's
-    ensemble comes from :meth:`from_pixel`; the constructor takes the rows as given.
+    ensemble comes from :meth:`from_pixel`.
 
-    ``rows`` is given either as an array or as :class:`PixelWindows`.  The
-    gadgets pass windows for every pixel of a self-dual grid; ``windows``
-    holds them, and is None for an ensemble given an array.  Such an ensemble
-    builds ``rows`` on the first read, n complex numbers per weight (45 x 65536
-    of them, 45 MiB, for the sampled pixel of a GKP correction on 65536
-    points), and keeps them: :meth:`purity`, :meth:`principal_component` and
-    ``components`` read them, while :func:`ensemble_fidelity` reads the
-    factors, a dot per row.
+    ``windows`` holds the rows by their factors (:class:`PixelWindows`); the
+    constructor also takes an array of rows, read as factors with a kept mode
+    of ones.  :func:`ensemble_fidelity` reads the factors, a dot per row.
+    ``rows`` is built from them on the first read, normalized, n complex
+    numbers per weight (45 x 65536 of them, 45 MiB, for the sampled pixel of a
+    GKP correction on 65536 points), and kept: :meth:`purity`,
+    :meth:`principal_component` and ``components`` read it.
 
     ``u`` is a position shift exp(-i u p) still pending on every row (the GKP
     correction): the ensemble is the rows displaced by ``u``.  The readers
@@ -259,57 +258,50 @@ class ConditionalEnsemble:
         w = np.asarray(weights, dtype=np.float64)
         if w.ndim != 1 or len(w) == 0:
             raise ValidationError("ensemble must have at least one component")
-        windows = rows if isinstance(rows, PixelWindows) else None
-        c = None if windows is not None else np.asarray(rows, dtype=np.complex128)
-        shape = c.shape if c is not None else windows.shape
-        if shape != (len(w), grid.n_points):
-            raise ValidationError(f"components have shape {shape}, expected ({len(w)}, n_points)")
-        if windows is not None and (windows.grid != grid or rep is not Rep.POSITION):
-            raise ValidationError("pixel windows hold position rows on their own grid")
+        windows = rows if isinstance(rows, PixelWindows) else PixelWindows.of_rows(rows)
+        if windows.shape != (len(w), grid.n_points) or windows.kept.shape != (grid.n_points,):
+            raise ValidationError(f"components have shape {windows.shape}, expected ({len(w)}, n_points)")
         _check_shift(grid.extent, u)
-        w.flags.writeable = False
+        for a in (w, windows.kept, windows.stack, windows.which, windows.shifts):
+            a.flags.writeable = False
         # __setattr__ refuses every attribute: fill the instance dict directly
         vars(self).update(
             grid=grid, rep=rep, weights=w, total_probability=float(np.sum(w)), u=u, windows=windows
         )
-        if c is not None:
-            c.flags.writeable = False
-            vars(self)["rows"] = c  # a given array takes the place of the built rows
 
     @classmethod
     def from_pixel(
         cls, grid: QuadratureGrid, rep: Rep, k: int, measures: np.ndarray,
-        vectors: np.ndarray | PixelWindows, u: float = 0.0,
+        windows: PixelWindows, u: float = 0.0,
     ) -> ConditionalEnsemble:
-        """The ensemble of pixel k from one unnormalized row per node and the nodes' measures.
+        """The ensemble of pixel k from the factors of one unnormalized row per
+        node and the nodes' measures.
 
         Row i weighs ``measures[i]`` times its squared norm, which also
         normalizes it; rows of weight 0 carry no state and are dropped.
         Raises ZeroMassBinError when the weights sum below 1e-15.
         """
-        windows = isinstance(vectors, PixelWindows)
-        sq_norms = vectors.sq_norms if windows else _row_sq_norms(vectors) * grid.rep_spacing(rep)
-        weights = sq_norms * measures
+        weights = windows.sq_norms * grid.rep_spacing(rep) * measures
         total = float(np.sum(weights))
         if total < ZERO_MASS_TOL:
             raise ZeroMassBinError(f"bin k={k} carries probability {total:.3e} (< {ZERO_MASS_TOL:.0e})")
         keep = weights > 0.0
-        if windows:
-            if not np.all(keep):
-                vectors = replace(vectors, samples=vectors.samples[keep], which=vectors.which[keep])
-        else:  # an array is normalized in place, or in a copy when a row goes or it is read-only
-            if not (np.all(keep) and vectors.flags.writeable):
-                vectors, sq_norms = vectors[keep], sq_norms[keep]
-            vectors /= np.sqrt(sq_norms)[:, np.newaxis]
-        return cls(grid, rep, weights[keep], vectors, u)
+        if not np.all(keep):
+            windows = replace(windows, which=windows.which[keep], shifts=windows.shifts[keep])
+        return cls(grid, rep, weights[keep], windows, u)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"ConditionalEnsemble is read-only: cannot set {name!r}")
 
     @functools.cached_property
+    def _sq_norms(self) -> np.ndarray:
+        """Squared norms of the unnormalized rows in ``rep``, spacing included."""
+        return self.windows.sq_norms * self.grid.rep_spacing(self.rep)
+
+    @functools.cached_property
     def rows(self) -> np.ndarray:
         """The normalized rows, built from ``windows`` on first read."""
-        rows = self.windows.build()
+        rows = self.windows.build(np.sqrt(self._sq_norms).tolist())
         rows.flags.writeable = False
         return rows
 
@@ -326,7 +318,7 @@ class ConditionalEnsemble:
     @functools.cached_property
     def _overlaps(self) -> np.ndarray:
         """Unscaled Gram matrix sum_j conj(a_ij) a_kj of the rows (shift-invariant), computed once."""
-        return np.conj(self.rows) @ self.rows.T
+        return np.vecdot(self.rows[:, np.newaxis], self.rows[np.newaxis])
 
     def principal_component(self) -> ModeState:
         """Top eigenvector of the ensemble density operator (via the small Gram matrix)."""
@@ -424,7 +416,9 @@ def project_bin(
 
     The measured mode is removed; the result is a weighted ensemble of pure
     states of the other mode, one per momentum sample (sample regime) or
-    quadrature node (sub-grid regime) inside the pixel, by :meth:`ConditionalEnsemble.from_pixel`.
+    quadrature node (sub-grid regime) inside the pixel, by
+    :meth:`ConditionalEnsemble.from_pixel` from the slices, each its own
+    stack vector with a kept mode of ones.
     Raises ZeroMassBinError when the pixel mass is below 1e-15.
     """
     _check_mode(mode)
@@ -437,7 +431,9 @@ def project_bin(
         slices = np.ascontiguousarray(tilted[samples, :] if mode == 1 else tilted[:, samples].T)
     else:
         slices = _position_slices(state, mode, nodes)
-    return ConditionalEnsemble.from_pixel(state.grid, state.reps[other - 1], k, node_measure, slices)
+    return ConditionalEnsemble.from_pixel(
+        state.grid, state.reps[other - 1], k, node_measure, PixelWindows.of_rows(slices)
+    )
 
 
 def ensemble_fidelity(ensemble: ConditionalEnsemble, target: ModeState) -> float:
@@ -446,22 +442,16 @@ def ensemble_fidelity(ensemble: ConditionalEnsemble, target: ModeState) -> float
     by its squared norm.
 
     A pending shift u is applied to the target as -u, once, instead of to
-    every row.  An ensemble that holds :class:`PixelWindows` gives its
-    overlaps and norms from the windows, one dot per row, without building
-    the rows."""
+    every row.  Overlaps and norms come from the factors, a dot per row,
+    without building the rows."""
     if target.grid != ensemble.grid:
         raise GridMismatchError("states live on different grids")
     t = normalized(as_rep(target, ensemble.rep))
     if ensemble.u != 0.0:
         t = displace_q(t, -ensemble.u)
     w = ensemble.weights
-    if ensemble.windows is not None:
-        sq_norms, overlaps = ensemble.windows.sq_norms, ensemble.windows.overlaps(t.amplitudes)
-    else:
-        rows = ensemble.rows
-        sq_norms = _row_sq_norms(rows) * t.spacing
-        overlaps = rows @ np.conj(t.amplitudes) * t.spacing
-    fids = np.minimum(np.abs(overlaps) ** 2 / sq_norms, 1.0)
+    overlaps = ensemble.windows.overlaps(t.amplitudes) * t.spacing
+    fids = np.minimum(np.abs(overlaps) ** 2 / ensemble._sq_norms, 1.0)
     return float(np.dot(w, fids) / np.sum(w))
 
 

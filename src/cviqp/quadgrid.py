@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import GridMismatchError, RepresentationError, ValidationError
 
-NORM_TOL = 1e-9
 EDGE_AMPLITUDE_WARN = 1e-8
 
 
@@ -180,15 +179,15 @@ def normalized(state: ModeState) -> ModeState:
     return ModeState(state.grid, state.rep, state.amplitudes / n)
 
 
-def check_edge_support(state: ModeState, threshold: float = EDGE_AMPLITUDE_WARN) -> float:
-    """Warn if the state has non-negligible amplitude at the grid boundary.
+def check_edge_support(state: ModeState) -> float:
+    """Warn if the state has amplitude above EDGE_AMPLITUDE_WARN at the grid boundary.
 
     Returns the largest edge magnitude so callers can report it.
     """
     edge = max(abs(state.amplitudes[0]), abs(state.amplitudes[-1]))
-    if edge > threshold:
+    if edge > EDGE_AMPLITUDE_WARN:
         warnings.warn(
-            f"state amplitude {edge:.2e} at grid boundary exceeds {threshold:.0e}; "
+            f"state amplitude {edge:.2e} at grid boundary exceeds {EDGE_AMPLITUDE_WARN:.0e}; "
             "the grid extent may be too small for this state",
             GridSupportWarning,
             stacklevel=3,

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,8 @@ import pytest
 
 import cviqp
 from cviqp.cli import main
+
+from test_reported_outputs import README_COMMANDS
 
 SQRT_PI = math.sqrt(math.pi)
 # error-correct on a small grid, without seed, trials or output
@@ -590,3 +593,25 @@ class TestFaultToleranceRoot:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
         )
         assert result.stdout.splitlines()[-1] == "[]"
+
+
+class TestPeakMemory:
+    """No command builds an n x n array: each run peaks below half of one, n^2 * 8 bytes."""
+
+    @pytest.mark.parametrize(
+        "argv, n",
+        [
+            (README_COMMANDS["readme_error_correct.csv"], 1024),
+            (README_COMMANDS["readme_fourier_gadget.csv"], 4096),
+            (["error-correct", "--delta", "0.25", "--eta", str(SQRT_PI / 4), "--trials", "100", "--seed", "7"], 4096),
+        ],
+        ids=["readme_error_correct", "readme_fourier_gadget", "error_correct_default_grid"],
+    )
+    def test_peak_below_half_an_n_by_n_array(self, argv, n, tmp_path):
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8, f"peak {peak / 2**20:.1f} MiB"

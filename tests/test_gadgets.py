@@ -515,25 +515,28 @@ class TestDeferredCorrection:
 
 
 class TestFactoredEnsemble:
-    """On a self-dual grid in the sample regime the pixel rows stay factored."""
+    """The pixel rows stay factored until a reader needs them built."""
 
     def test_correction_and_fidelity_do_not_build_the_rows(self):
-        # the benchmark's correction trial: the 45 x 65536 rows alone are 45 MiB
-        grid = self_dual_grid(65536)
-        clean = gkp_plus(GkpParams.tied(0.25), grid)
-        data = displace_q(clean, 0.2)
-        params = GkpParams.tied(0.05)
-        det = DetectorParams(eta=SQRT_PI / 8)
-        tracemalloc.start()
-        try:
-            rep = gkp_error_correct(data, params, ShiftNoise(0.0, 0.05), det, seed=3)
-            fid = ensemble_fidelity(rep.output, clean)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-        assert len(rep.output.weights) > 40 and 0.0 < fid <= 1.0
-        assert rep.output.windows is not None and "rows" not in vars(rep.output)
+        # the benchmark's correction trial, where the 45 x 65536 rows alone are
+        # 45 MiB, and the README correction on a general grid
+        for grid, anc_delta, m, min_rows in (
+            (self_dual_grid(65536), 0.05, 8, 40),
+            (make_grid(1024, 64.0), 0.25, 4, 8),
+        ):
+            clean = gkp_plus(GkpParams.tied(0.25), grid)
+            data = displace_q(clean, 0.2)
+            det = DetectorParams(eta=SQRT_PI / m)
+            tracemalloc.start()
+            try:
+                rep = gkp_error_correct(data, GkpParams.tied(anc_delta), ShiftNoise(0.0, 0.05), det, seed=3)
+                fid = ensemble_fidelity(rep.output, clean)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+            assert len(rep.output.weights) > min_rows and 0.0 < fid <= 1.0
+            assert rep.output.windows is not None and "rows" not in vars(rep.output)
 
     def test_windows_of_zero_norm_are_dropped(self):
         # every other data sample is 0, and the constant ancilla's momentum

@@ -345,5 +345,5 @@ class TestShiftValues:
     def test_ensemble_components(self, grid, rep):
         rows = self.rows(grid, 45, 52)
         ens = ConditionalEnsemble(grid, rep, np.ones(45), rows, u=SQRT_PI)
-        for before, after in zip(rows, ens.components):
+        for before, after in zip(ens.rows, ens.components):
             assert np.array_equal(after, self.textbook(before, grid, rep, SQRT_PI))

@@ -11,6 +11,7 @@ from cviqp.gates import apply_cz, tensor
 from cviqp.homodyne import (
     ConditionalEnsemble,
     DetectorParams,
+    PixelWindows,
     bin_probabilities,
     ensemble_fidelity,
     gkp_readout,
@@ -163,7 +164,8 @@ class TestProjectBin:
 
 
 class TestFromPixel:
-    """``ConditionalEnsemble.from_pixel`` weighs, drops and normalizes a pixel's rows."""
+    """``ConditionalEnsemble.from_pixel`` weighs, drops and normalizes a pixel's rows,
+    here given as factors: each row its own stack vector, with a kept mode of ones."""
 
     measures = np.array([0.5, 0.25, 0.125, 2.0])
 
@@ -176,7 +178,7 @@ class TestFromPixel:
 
     def test_weights_are_measure_times_squared_norm(self, grid_small):
         v = self.vectors(grid_small)
-        ens = ConditionalEnsemble.from_pixel(grid_small, Rep.MOMENTUM, 3, self.measures, v.copy())
+        ens = ConditionalEnsemble.from_pixel(grid_small, Rep.MOMENTUM, 3, self.measures, PixelWindows.of_rows(v))
         expected = self.measures * np.sum(np.abs(v) ** 2, axis=1) * grid_small.dp
         kept = [0, 1, 3]
         np.testing.assert_allclose(ens.weights, expected[kept], rtol=1e-15, atol=0.0)
@@ -184,7 +186,7 @@ class TestFromPixel:
 
     def test_zero_row_is_dropped(self, grid_small):
         v = self.vectors(grid_small)
-        ens = ConditionalEnsemble.from_pixel(grid_small, Rep.MOMENTUM, 3, self.measures, v.copy())
+        ens = ConditionalEnsemble.from_pixel(grid_small, Rep.MOMENTUM, 3, self.measures, PixelWindows.of_rows(v))
         assert len(ens.weights) == len(ens.rows) == len(ens.components) == 3
         assert np.all(ens.weights > 0.0)
         for row, i in zip(ens.rows, [0, 1, 3]):
@@ -192,7 +194,7 @@ class TestFromPixel:
 
     def test_rows_are_unit_norm(self, grid_small):
         v = self.vectors(grid_small)
-        ens = ConditionalEnsemble.from_pixel(grid_small, Rep.MOMENTUM, 3, self.measures, v)
+        ens = ConditionalEnsemble.from_pixel(grid_small, Rep.MOMENTUM, 3, self.measures, PixelWindows.of_rows(v))
         norms = np.sum(np.abs(ens.rows) ** 2, axis=1) * grid_small.dp
         assert np.max(np.abs(norms - 1.0)) <= 1e-14
 
@@ -200,7 +202,7 @@ class TestFromPixel:
         v = self.vectors(grid_small)[[0, 1, 3]]
         v.flags.writeable = False
         before = v.copy()
-        ens = ConditionalEnsemble.from_pixel(grid_small, Rep.POSITION, 0, self.measures[:3], v)
+        ens = ConditionalEnsemble.from_pixel(grid_small, Rep.POSITION, 0, self.measures[:3], PixelWindows.of_rows(v))
         assert np.array_equal(v, before)
         norms = np.sum(np.abs(ens.rows) ** 2, axis=1) * grid_small.dq
         assert np.max(np.abs(norms - 1.0)) <= 1e-14
@@ -208,7 +210,7 @@ class TestFromPixel:
     def test_zero_mass_pixel_raises_naming_k(self, grid_small):
         v = 1e-10 * self.vectors(grid_small)
         with pytest.raises(ZeroMassBinError, match="k=-7"):
-            ConditionalEnsemble.from_pixel(grid_small, Rep.POSITION, -7, self.measures, v)
+            ConditionalEnsemble.from_pixel(grid_small, Rep.POSITION, -7, self.measures, PixelWindows.of_rows(v))
 
 
 class TestEnsembleFidelity:
@@ -239,11 +241,19 @@ class TestEnsembleFidelity:
 
 class TestConditionalEnsemble:
     @pytest.mark.parametrize(
-        "n_weights, shape", [(1, (2, 256)), (2, (2, 255)), (2, (256,)), (2, (2, 256, 1))]
+        "n_weights, shape", [(1, (2, 256)), (2, (2, 255)), (2, (256,)), (2, (2, 256, 1)), (1, ())]
     )
     def test_components_shape_must_be_weights_by_grid_points(self, grid_small, n_weights, shape):
         with pytest.raises(ValidationError):
             ConditionalEnsemble(grid_small, Rep.POSITION, [0.5] * n_weights, np.ones(shape))
+
+    def test_given_rows_are_normalized(self, grid_small):
+        # a given array is read as factors with a kept mode of ones, and built normalized
+        psi = random_smooth_state(grid_small, seed=7)
+        ens = ConditionalEnsemble(grid_small, Rep.POSITION, [1.0], [2.0 * psi.amplitudes])
+        assert ens.purity() == pytest.approx(1.0, abs=1e-14)
+        assert abs(np.sum(np.abs(ens.rows[0]) ** 2) * grid_small.dq - 1.0) <= 1e-14
+        assert ensemble_fidelity(ens, psi) == pytest.approx(1.0, abs=1e-14)
 
     def test_arrays_are_read_only(self, grid_small):
         a = random_smooth_state(grid_small, seed=5)
@@ -254,6 +264,40 @@ class TestConditionalEnsemble:
             ens.weights[0] = 0.0
         with pytest.raises(ValueError):
             ens.components[0, 0] = 0.0
+
+
+@st.composite
+def factored_rows(draw):
+    """(grid, rep, factors, target): 1 to 6 rows over a stack of 1 to 4 random
+    vectors, each shifted by 0, n - 1 or a drawn amount."""
+    n = draw(st.sampled_from([64, 256, 1024]))
+    grid = make_grid(n, draw(st.floats(4.0, 64.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+
+    def cnormal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    t, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    which = draw(st.lists(st.integers(0, t - 1), min_size=m, max_size=m))
+    shifts = draw(st.lists(st.sampled_from([0, n - 1]) | st.integers(0, n - 1), min_size=m, max_size=m))
+    factors = PixelWindows(cnormal(n), cnormal(t, n), np.array(which), np.array(shifts))
+    return grid, draw(st.sampled_from(Rep)), factors, cnormal(n)
+
+
+class TestPixelWindows:
+    """Row i of the factors is kept * np.roll(stack[which[i]], shifts[i])."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(factored_rows())
+    def test_dots_and_rows_match_the_rolled_reference(self, case):
+        grid, rep, f, target = case
+        reference = np.array([f.kept * np.roll(f.stack[t], s) for t, s in zip(f.which, f.shifts)])
+        np.testing.assert_allclose(f.sq_norms, np.sum(np.abs(reference) ** 2, axis=1), rtol=1e-13, atol=0.0)
+        scale = np.abs(reference) @ np.abs(target)  # bounds each overlap's rounding
+        assert np.all(np.abs(f.overlaps(target) - reference @ np.conj(target)) <= 1e-13 * scale)
+        # unit measures: each weight is its row's squared norm in rep, and divides it out
+        ens = ConditionalEnsemble.from_pixel(grid, rep, 0, np.ones(len(f.which)), f)
+        assert np.array_equal(ens.rows, reference / np.sqrt(ens.weights)[:, np.newaxis])
 
 
 @st.composite
