@@ -70,6 +70,18 @@ class TailMassWarning(UserWarning):
     """The requested bin range misses non-negligible probability mass."""
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only, solved once per count.
+
+    ``np.polynomial`` is read here, not at import: numpy loads it on first use.
+    """
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 @dataclass(frozen=True)
 class DetectorParams:
     """Half-width eta of the detector pixels; pixel k covers [2 eta k - eta, 2 eta k + eta).
@@ -113,7 +125,7 @@ class DetectorParams:
             return nodes, np.full(len(nodes), grid.dp)
         lo, hi = self.bin_interval(k)
         n_nodes = max(_MIN_QUAD_NODES, math.ceil(4.0 * (2.0 * self.eta / grid.dp)))
-        x, w = np.polynomial.legendre.leggauss(n_nodes)
+        x, w = _gauss_legendre(n_nodes)
         half = 0.5 * (hi - lo)
         return lo + half * (x + 1.0), half * w
 
@@ -167,8 +179,8 @@ class PixelWindows:
 
     @classmethod
     def of_rows(cls, rows: np.ndarray) -> PixelWindows:
-        """The given rows as factors: each its own stack vector, unshifted, kept mode ones."""
-        rows = np.asarray(rows, dtype=np.complex128)
+        """A copy of the given rows as factors: each its own stack vector, unshifted, kept mode ones."""
+        rows = np.array(rows, dtype=np.complex128)
         if rows.ndim != 2:
             raise ValidationError(f"rows have shape {rows.shape}, expected (m, n_points)")
         which = np.arange(len(rows))
@@ -230,8 +242,8 @@ class ConditionalEnsemble:
     ensemble comes from :meth:`from_pixel`.
 
     ``windows`` holds the rows by their factors (:class:`PixelWindows`); the
-    constructor also takes an array of rows, read as factors with a kept mode
-    of ones.  :func:`ensemble_fidelity` reads the factors, a dot per row.
+    constructor also takes an array of rows, copied and read as factors with
+    a kept mode of ones.  :func:`ensemble_fidelity` reads the factors, a dot per row.
     ``rows`` is built from them on the first read, normalized, n complex
     numbers per weight (45 x 65536 of them, 45 MiB, for the sampled pixel of a
     GKP correction on 65536 points), and kept: :meth:`purity`,
@@ -255,7 +267,7 @@ class ConditionalEnsemble:
         rows: np.ndarray | PixelWindows,
         u: float = 0.0,
     ) -> None:
-        w = np.asarray(weights, dtype=np.float64)
+        w = np.array(weights, dtype=np.float64)  # a copy: the caller's array stays writeable
         if w.ndim != 1 or len(w) == 0:
             raise ValidationError("ensemble must have at least one component")
         windows = rows if isinstance(rows, PixelWindows) else PixelWindows.of_rows(rows)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cviqp import gadgets, gates, homodyne, quadgrid, states
 from cviqp.errors import GridMismatchError, ValidationError
@@ -629,3 +631,81 @@ class TestErrorCorrectedFourier:
         assert fid_b > 0.85
         # the uncorrected stage approaches the ideal transform in the same limit
         assert rep_b.diagnostics["uncorrected_fidelity_vs_ideal_fourier"] > 0.98
+
+
+def direct_czt(x, theta, j0, n_out, a0):
+    """y[..., a] = sum_j x[..., j] exp(i theta (a + a0)(j + j0)), summed term by term."""
+    u = np.arange(n_out) + a0
+    v = np.arange(x.shape[-1]) + j0
+    return x @ np.exp(1j * theta * np.outer(v, u).astype(np.float64))
+
+
+@st.composite
+def czt_params(draw):
+    """(theta, j0, n, n_out, a0, batch shape) of a chirp-z transform, n_out drawn apart from n."""
+    theta = draw(st.floats(-0.2, 0.2).filter(lambda t: abs(t) > 1e-3))
+    n, n_out = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+    j0, a0 = draw(st.integers(-32, 32)), draw(st.integers(-32, 32))
+    return theta, j0, n, n_out, a0, draw(st.sampled_from([(), (3,)]))
+
+
+class TestChirpZPlans:
+    """Each chirp-z transform reads a plan built once per parameter set."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(czt_params(), st.integers(0, 2**32))
+    def test_czt_matches_the_direct_sum(self, base, seed):
+        # each variant differs from the base in one plan key field and runs right
+        # after it, so a plan cached under too few fields is read for the wrong transform
+        theta, j0, n, n_out, a0, batch = base
+        variants = [
+            (1.5 * theta, j0, n, n_out, a0),
+            (theta, j0 + 1, n, n_out, a0),
+            (theta, j0, n + 1, n_out, a0),
+            (theta, j0, n, n_out + 1, a0),
+            (theta, j0, n, n_out, a0 - 1),
+        ]
+        rng = np.random.default_rng(seed)
+        for params in [p for v in variants for p in (base[:5], v)]:
+            t, j, m, m_out, a = params
+            x = rng.normal(size=(*batch, m)) + 1j * rng.normal(size=(*batch, m))
+            y = gadgets._czt(x, t, j, m_out, a)
+            scale = np.max(np.sum(np.abs(x), axis=-1))  # bounds |y|
+            assert y.shape == (*batch, m_out)
+            assert np.max(np.abs(y - direct_czt(x, t, j, m_out, a))) <= 1e-12 * scale, params
+
+    def test_plans_are_read_only(self):
+        size, *arrays = gadgets._czt_plan(0.01, -3, 16, 9, 2)
+        assert size >= 16 + 9 - 1
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_warm_fourier_gadget_does_no_grid_only_work(self, monkeypatch):
+        grid = ORACLE_GRIDS["general"]
+        psi = random_smooth_state(grid, seed=11)
+        det = DetectorParams(eta=0.01)
+        assert not det.sample_aligned(grid)
+        fourier_gadget(psi, 0.4, det)  # fills the chirp-z plan, the Fourier chirps and the nodes
+        calls = {"chirp": 0, "apply_fourier": 0, "leggauss": 0}
+
+        def counting(name, original):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(gadgets, "_chirp", counting("chirp", gadgets._chirp))
+        monkeypatch.setattr(gadgets, "apply_fourier", counting("apply_fourier", gadgets.apply_fourier))
+        legendre = np.polynomial.legendre
+        monkeypatch.setattr(legendre, "leggauss", counting("leggauss", legendre.leggauss))
+        warm = fourier_gadget(psi, 0.4, det)
+        assert calls == {"chirp": 0, "apply_fourier": 1, "leggauss": 0}
+        for cache in (gadgets._czt_plan, gates._fourier_chirps, homodyne._gauss_legendre):
+            cache.cache_clear()
+        cold = fourier_gadget(psi, 0.4, det)
+        assert calls == {"chirp": 3, "apply_fourier": 2, "leggauss": 1}
+        assert np.array_equal(cold.output.weights, warm.output.weights)
+        assert np.array_equal(cold.output.rows, warm.output.rows)
+        assert cold.diagnostics == warm.diagnostics

@@ -265,6 +265,18 @@ class TestConditionalEnsemble:
         with pytest.raises(ValueError):
             ens.components[0, 0] = 0.0
 
+    def test_caller_arrays_stay_writeable(self, grid_small):
+        # the ensemble freezes copies it owns, not the arrays it was given
+        weights = np.array([0.25, 0.75])
+        rows = np.ones((2, grid_small.n_points), dtype=np.complex128)
+        ens = ConditionalEnsemble(grid_small, Rep.POSITION, weights, rows)
+        weights[0] = 0.5
+        rows[0, 0] = 2.0
+        assert ens.weights[0] == 0.25 and ens.windows.stack[0, 0] == 1.0
+        for held in (ens.weights, ens.windows.stack, ens.rows):
+            with pytest.raises(ValueError):
+                held[0] = 0.0
+
 
 @st.composite
 def factored_rows(draw):

@@ -2,9 +2,14 @@
 
 ``gadgets`` reaches the homodyne module only through its public names, and
 the command line only through the public API of every ``cviqp`` module.
+Importing the package and its command line loads no costly module it does
+not need at import.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +47,18 @@ def test_no_private_names_cross_the_boundary(module, from_modules):
 def test_private_imports_are_seen():
     # gadgets does import private names from quadgrid and gates, which the check must see
     assert "quadgrid._transform" in private_imports("gadgets", None)
+
+
+def test_import_loads_neither_numpy_polynomial_nor_scipy():
+    # a fresh interpreter, so modules imported by the test suite do not count;
+    # both are costly to import, and the package reads numpy.polynomial only
+    # when it first needs quadrature nodes
+    code = (
+        "import sys, cviqp, cviqp.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert result.stdout.splitlines()[-1] == "[]"
