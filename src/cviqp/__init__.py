@@ -55,6 +55,7 @@ from .homodyne import (
     gkp_readout,
     project_bin,
     sample_outcome,
+    sample_outcomes,
 )
 from .gadgets import (
     GadgetReport,

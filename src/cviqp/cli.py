@@ -9,6 +9,7 @@ pass the same checks (a numeric entry must also be a JSON number).  Results are
 CSV files whose first line is a ``#``-prefixed JSON dump of the parsed
 parameters, so identical parameters with identical seeds produce byte-identical
 files, from flags or from a file.  Randomized commands require ``--seed``.
+Commands hand ``_write_csv`` their results by column; ``main`` reuses one parser per process.
 
 Exit codes: 0 success (and ``--help``), 2 validation error (no result file is
 written), 3 numerical failure (zero-mass post-selection bin, failed root-find).
@@ -17,9 +18,11 @@ written), 3 numerical failure (zero-mass post-selection bin, failed root-find).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from .homodyne import (
     DetectorParams,
     ensemble_fidelity,
     gkp_readout,
-    sample_outcome,
+    sample_outcomes,
 )
 from .quadgrid import ModeState, Rep, fidelity_pure, make_grid, normalized
 from .states import GkpParams, gkp_minus, gkp_one, gkp_plus, gkp_zero, squeezed_momentum
@@ -113,14 +116,30 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-def _write_csv(args: argparse.Namespace, header: list[str], rows: list[list], **results) -> None:
+def _column_cells(column: Iterable) -> list[str]:
+    """``_fmt`` of every cell of a column, each distinct value formatted once: a numeric
+    array grouped by bit pattern, so -0.0 and 0.0 stay distinct, any other column by
+    type and value, a float-like value by the bits of the float that ``_fmt`` formats."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf" and column.itemsize in (1, 2, 4, 8):
+        bits = np.ascontiguousarray(column).view(f"u{column.itemsize}")
+        _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+        texts = list(map(_fmt, column[first].tolist()))
+        return list(map(texts.__getitem__, inverse.tolist()))
+    texts, cells = {}, []
+    for v in column:
+        key = (type(v), float(v).hex() if isinstance(v, (float, np.floating)) else v)
+        if key not in texts:
+            texts[key] = _fmt(v)
+        cells.append(texts[key])
+    return cells
+
+
+def _write_csv(args: argparse.Namespace, header: list[str], columns: Iterable[Iterable], **results) -> None:
     # the header records the experiment, not where it reads and writes: identical
     # parameters and seeds must produce byte-identical files
     config = {k: v for k, v in vars(args).items() if k not in ("func", "command", "config", "out") and v is not None}
-    lines = ["# " + json.dumps({**config, **results}, sort_keys=True)]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = ["# " + json.dumps({**config, **results}, sort_keys=True), ",".join(header)]
+    lines += map(",".join, zip(*map(_column_cells, columns)))
     try:
         Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     except OSError as exc:
@@ -153,31 +172,18 @@ def cmd_fourier_gadget(args: argparse.Namespace) -> int:
             rep = fourier_gadget(psi, sigma, det, args.postselect_k)
             lead = rep.diagnostics["leading_order_probability"]
             rows.append(
-                [
-                    sigma,
-                    det.eta,
-                    rep.success_probability,
-                    lead,
-                    rep.success_probability / lead - 1.0,
-                    rep.diagnostics["fidelity_vs_ideal_fourier"],
-                    rep.diagnostics["fidelity_vs_finite_squeezing_target"],
-                    rep.diagnostics["ensemble_purity"],
-                ]
+                {
+                    "sigma": sigma,
+                    "eta": det.eta,
+                    "success_probability": rep.success_probability,
+                    "leading_order": lead,
+                    "relative_deviation": rep.success_probability / lead - 1.0,
+                    "fidelity_vs_ideal_fourier": rep.diagnostics["fidelity_vs_ideal_fourier"],
+                    "fidelity_vs_finite_squeezing_target": rep.diagnostics["fidelity_vs_finite_squeezing_target"],
+                    "ensemble_purity": rep.diagnostics["ensemble_purity"],
+                }
             )
-    _write_csv(
-        args,
-        [
-            "sigma",
-            "eta",
-            "success_probability",
-            "leading_order",
-            "relative_deviation",
-            "fidelity_vs_ideal_fourier",
-            "fidelity_vs_finite_squeezing_target",
-            "ensemble_purity",
-        ],
-        rows,
-    )
+    _write_csv(args, list(rows[0]), zip(*(row.values() for row in rows)))
     return 0
 
 
@@ -190,55 +196,36 @@ def cmd_error_correct(args: argparse.Namespace) -> int:
     data = displace_q(clean, args.u1)
     pre_fid = fidelity_pure(clean, data)
     ancilla = gkp_zero(params, grid)
-    # one conditioning per distinct outcome; trials resample the outcome only
+    # one conditioning per distinct outcome, in first-draw order; trials resample the outcome only
     dist = outcome_distribution(data, ancilla, det)
-    outcomes: dict[int, tuple] = {}
-    rows = []
-    for trial in range(args.trials):
-        trial_seed = args.seed + trial
-        k = sample_outcome(dist, trial_seed)
-        if k not in outcomes:
-            rep = gkp_error_correct(
-                data,
-                params,
-                ShiftNoise.none(),
-                det,
-                fixed_outcome_k=k,
-                known_data_shift=(args.u1, 0.0),
-                ancilla_state=ancilla,
-            )
-            outcomes[k] = (rep, ensemble_fidelity(rep.output, clean))
-        rep, post_fid = outcomes[k]
-        diag = rep.diagnostics
-        rows.append(
-            [
-                trial,
-                trial_seed,
-                k,
-                rep.outcome_value,
-                diag["applied_correction"],
-                diag["net_position_offset"],
-                diag["threshold_held"],
-                diag["logical_miscorrection"],
-                pre_fid,
-                post_fid,
-            ]
+    ks = sample_outcomes(dist, args.seed, args.trials)
+    records = {}
+    for k in dict.fromkeys(ks):
+        rep = gkp_error_correct(
+            data,
+            params,
+            ShiftNoise.none(),
+            det,
+            fixed_outcome_k=k,
+            known_data_shift=(args.u1, 0.0),
+            ancilla_state=ancilla,
         )
+        diag = rep.diagnostics
+        records[k] = {
+            "outcome_k": k,
+            "p_k": rep.outcome_value,
+            "correction": diag["applied_correction"],
+            "net_offset": diag["net_position_offset"],
+            "threshold_held": diag["threshold_held"],
+            "miscorrected": diag["logical_miscorrection"],
+            "pre_fidelity": pre_fid,
+            "post_fidelity": ensemble_fidelity(rep.output, clean),
+        }
+    per_trial = [records[k] for k in ks]
     _write_csv(
         args,
-        [
-            "trial",
-            "seed",
-            "outcome_k",
-            "p_k",
-            "correction",
-            "net_offset",
-            "threshold_held",
-            "miscorrected",
-            "pre_fidelity",
-            "post_fidelity",
-        ],
-        rows,
+        ["trial", "seed", *per_trial[0]],
+        [range(args.trials), range(args.seed, args.seed + args.trials), *zip(*(r.values() for r in per_trial))],
     )
     return 0
 
@@ -280,7 +267,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         )
         solved = {"solved_sigma": sigma, "solved_db": db}
     if args.out:
-        _write_csv(args, header, rows, **solved)
+        _write_csv(args, header, zip(*rows), **solved)
     return 0
 
 
@@ -289,9 +276,8 @@ def cmd_dv(args: argparse.Namespace) -> int:
         postselect = {"+": 1, "-": -1}.get(args.postselect)
         if postselect is None and args.seed is None:
             raise ValidationError("sampled hadamard-gadget runs need --seed")
-        runs = dv_hadamard_trials(qubit_state(1.0, 0.0), args.trials, postselect=postselect, seed=args.seed)
-        rows = [[trial, h, prob] for trial, (h, prob) in enumerate(runs)]
-        _write_csv(args, ["trial", "h", "probability"], rows)
+        hs, probs = dv_hadamard_trials(qubit_state(1.0, 0.0), args.trials, postselect=postselect, seed=args.seed)
+        _write_csv(args, ["trial", "h", "probability"], [np.arange(len(hs)), hs, probs])
         return 0
     circuit = args.iqp
     if not circuit:
@@ -308,8 +294,8 @@ def cmd_dv(args: argparse.Namespace) -> int:
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed --iqp: {exc}") from None
     probs = dv_iqp_circuit(n, gates, postselect or None)
-    rows = [[format(x, f"0{n}b")[::-1], p] for x, p in enumerate(probs)]
-    _write_csv(args, ["outcome_bits_q0_first", "probability"], rows)
+    bits = [format(x, f"0{n}b")[::-1] for x in range(len(probs))]
+    _write_csv(args, ["outcome_bits_q0_first", "probability"], [bits, probs])
     return 0
 
 
@@ -324,11 +310,7 @@ def cmd_readout(args: argparse.Namespace) -> int:
         rows.append(
             [delta, params.delta_envelope, det.eta, result.p_plus, result.p_minus, result.p_error, analysis.pe_bound(delta)]
         )
-    _write_csv(
-        args,
-        ["delta", "delta_env", "eta", "p_plus", "p_minus", "p_error", "pe_bound"],
-        rows,
-    )
+    _write_csv(args, ["delta", "delta_env", "eta", "p_plus", "p_minus", "p_error", "pe_bound"], zip(*rows))
     return 0
 
 
@@ -469,10 +451,17 @@ def _config_flags(sub: argparse.ArgumentParser, path: str) -> list[str]:
     return flags
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser that every ``main`` call of a process reuses, and its subcommand parsers by name."""
     parser = build_parser()
     (commands,) = (action.choices for action in parser._actions if action.dest == "command")
+    return parser, commands
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parser()
     try:
         if argv and argv[0] in commands:
             # --config is read first, so the file can hold required flags; then one full parse

@@ -57,6 +57,7 @@ from .quadgrid import (
     normalized,
     transform_mode,
 )
+from .seeding import _seeded_uniforms
 
 TAIL_MASS_DIAGNOSTIC = 1e-8
 ZERO_MASS_TOL = 1e-15
@@ -467,13 +468,8 @@ def ensemble_fidelity(ensemble: ConditionalEnsemble, target: ModeState) -> float
     return float(np.dot(w, fids) / np.sum(w))
 
 
-def sample_outcome(dist: Mapping[int, float], seed: int) -> int:
-    """Deterministic inverse-CDF sample of a bin index from ``{k: probability}``.
-
-    The distribution may sum to less than one (out-of-range tail); tail draws
-    are assigned to the nearest covered bin (lowest k for the first half of
-    the tail, highest k for the rest).
-    """
+def _inverse_cdf(dist: Mapping[int, float], u: np.ndarray) -> list[int]:
+    """The bin that each uniform draw in ``u`` selects, by the rule of :func:`sample_outcome`."""
     if not dist:
         raise ValidationError("cannot sample from an empty distribution")
     ks = sorted(dist)
@@ -481,12 +477,25 @@ def sample_outcome(dist: Mapping[int, float], seed: int) -> int:
     if np.any(probs < 0):
         raise ValidationError("negative probability in distribution")
     cdf = np.cumsum(probs)
-    u = float(np.random.default_rng(seed).random())
-    idx = int(np.searchsorted(cdf, u, side="right"))
-    if idx >= len(ks):
-        remainder = 1.0 - cdf[-1]
-        return ks[0] if (u - cdf[-1]) < 0.5 * remainder else ks[-1]
-    return ks[idx]
+    idx = np.searchsorted(cdf, u, side="right")
+    tail = idx >= len(ks)
+    idx[tail] = np.where(u[tail] - cdf[-1] < 0.5 * (1.0 - cdf[-1]), 0, len(ks) - 1)
+    return [ks[i] for i in idx.tolist()]
+
+
+def sample_outcome(dist: Mapping[int, float], seed: int) -> int:
+    """Deterministic inverse-CDF sample of a bin index from ``{k: probability}``, drawn
+    by ``np.random.default_rng(seed).random()``: the first bin whose cumulative probability
+    exceeds the draw.  The distribution may sum to less than one (out-of-range tail); tail
+    draws go to the lowest k in the first half of the tail, the highest k in the rest."""
+    return _inverse_cdf(dist, np.array([np.random.default_rng(seed).random()]))[0]
+
+
+def sample_outcomes(dist: Mapping[int, float], first_seed: int, count: int) -> list[int]:
+    """``[sample_outcome(dist, first_seed + t) for t in range(count)]``, bit for
+    bit, in one batch of draws; the seeds must stay below 2**128 (see
+    ``seeding._seeded_uniforms``)."""
+    return _inverse_cdf(dist, _seeded_uniforms(first_seed, count))
 
 
 @dataclass(frozen=True)
@@ -504,7 +513,8 @@ def gkp_readout(psi: ModeState, det: DetectorParams) -> ReadoutResult:
     Mass in even windows is associated with |+>, odd windows with |->; the
     error mass for the dominant identification is min(p_plus, p_minus).
     Requires sqrt(pi)/eta to be an integer so the detector pixels are
-    compatible with the window layout.
+    compatible with the window layout.  That check is the only use of
+    ``det``: the masses are the same for every compatible detector.
     """
     det.require_gkp_compatible()
     phi = as_rep(psi, Rep.MOMENTUM)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import cviqp
-from cviqp.cli import main
+from cviqp import cli
+from cviqp.cli import _fmt, _write_csv, build_parser, main
 
 from test_reported_outputs import README_COMMANDS
 
@@ -231,6 +233,27 @@ class TestErrorCorrectCommand:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [2**32 - 6, 2**64 - 6], ids=["across-2**32", "across-2**64"])
+    def test_outcomes_are_per_seed_samples(self, seed, tmp_path):
+        out = tmp_path / "ec.csv"
+        assert main([*EC_SMALL, "--trials", "12", "--seed", str(seed), "--out", str(out)]) == 0
+        _config, header, rows = read_rows(out)
+        params = cviqp.GkpParams.tied(0.25)
+        grid = cviqp.make_grid(1024, 64.0)
+        data = cviqp.displace_q(cviqp.gkp_plus(params, grid), 0.2)
+        dist = cviqp.outcome_distribution(data, cviqp.gkp_zero(params, grid), cviqp.DetectorParams(eta=SQRT_PI / 4))
+        assert [r[header.index("seed")] for r in rows] == [str(seed + t) for t in range(12)]
+        ks = [int(r[header.index("outcome_k")]) for r in rows]
+        assert ks == [cviqp.sample_outcome(dist, seed + t) for t in range(12)]
+        assert len(set(ks)) > 1
+
+    @pytest.mark.parametrize("seed, trials", [(2**128 - 1, 2), (2**128, 1)])
+    def test_seeds_from_2_128_exit_2_without_file(self, seed, trials, tmp_path, capsys):
+        out = tmp_path / "ec.csv"
+        assert main([*EC_SMALL, "--trials", str(trials), "--seed", str(seed), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "2**128" in capsys.readouterr().err
+
     def test_missing_seed_exits_2(self, tmp_path):
         rc = main(
             [
@@ -244,6 +267,66 @@ class TestErrorCorrectCommand:
             ]
         )
         assert rc == 2
+
+
+class TestWriteCsv:
+    """The column writer's bytes equal a writer that formats one cell at a time."""
+
+    EDGE_FLOATS = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 0.1, -0.0, 1.0]
+    COLUMNS = {
+        "float64": np.array(EDGE_FLOATS),
+        "float32": np.array(EDGE_FLOATS, dtype=np.float32),
+        "python-floats": EDGE_FLOATS,
+        "int64": np.array([-(2**63), -1, 0, 0, 1, 2**63 - 1, 7, 7, -1, 3, 0]),
+        "uint64": np.array([2**64 - 1, 2**63, 0, 1, 2**63, 5, 5, 0, 9, 2**64 - 1, 2], dtype=np.uint64),
+        "seeds-near-2**128": range(2**128 - 11, 2**128),
+        "big-python-ints": [2**63, 2**64, -(2**70), 2**127, 2**63, 0, -1, 1, True, 1.0, 2**64],
+        "bools": [True, False, np.True_, np.False_, 1, 0, 1.0, 0.0, True, np.True_, -0.0],
+        "bool-array": np.array([True, False, True, True, False, False, True, False, True, False, True]),
+        "numpy-scalars": [
+            np.float64(-0.0), np.float64(0.0), np.float32(0.1), np.float16(0.5), np.int64(-7), np.uint8(3),
+            np.longdouble(0.1), np.float64(math.nan), np.int32(2**31 - 1), np.uint64(2**64 - 1), np.float64(-0.0),
+        ],
+        "bit-strings": ["000", "100", "010", "110", "001", "101", "011", "111", "000", "100", "010"],
+        # a str that spells a float's bits, next to that float
+        "mixed": [(0.5).hex(), 0.5, (0.5).hex(), 0.5, "1", 1, True, 1.0, "nan", math.nan, "-0"],
+    }
+
+    @staticmethod
+    def reference_body(header, columns) -> str:
+        lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in zip(*columns)]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("name", list(COLUMNS))
+    def test_bytes_equal_a_cell_by_cell_writer(self, name, tmp_path):
+        column = self.COLUMNS[name]
+        columns = [np.arange(len(column)), column, list(column)[::-1]]
+        header = ["trial", name, "reversed"]
+        out = tmp_path / "w.csv"
+        args = argparse.Namespace(command="x", func=None, config=None, out=str(out), seed=2**128 - 11)
+        _write_csv(args, header, columns, solved=0.5)
+        first, body = out.read_text(encoding="utf-8").split("\n", 1)
+        assert first == "# " + json.dumps({"seed": 2**128 - 11, "solved": 0.5}, sort_keys=True)
+        assert body == self.reference_body(header, columns)
+
+    def test_signed_zeros_and_nans_keep_their_cells(self, tmp_path):
+        out = tmp_path / "w.csv"
+        _write_csv(argparse.Namespace(out=str(out)), ["x"], [np.array([-0.0, 0.0, math.nan, -0.0, 0.0])])
+        assert out.read_text(encoding="utf-8").splitlines()[2:] == ["-0", "0", "nan", "-0", "0"]
+
+
+class TestParserReuse:
+    def test_main_reuses_one_parser_and_build_parser_makes_new_ones(self):
+        assert cli._parser() is cli._parser()
+        assert build_parser() is not build_parser()
+
+    def test_no_value_carries_over_between_calls(self, tmp_path):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(["scaling", "--n", "1,10", "--l", "3", "--eta", "0.01", "--sigma", "0.1", "--out", str(first)]) == 0
+        assert main(["scaling", "--out", str(second)]) == 0
+        config, header, rows = read_rows(second)
+        assert config == {"n": "1,10,100,1000"}
+        assert header[-1] == "pe_bound_at_min" and len(rows) == 4
 
 
 class TestScalingCommand:

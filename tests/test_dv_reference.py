@@ -6,12 +6,12 @@ import pytest
 from cviqp.errors import NumericalError, ValidationError
 from cviqp.gadgets import (
     QubitState,
-    _seeded_uniforms,
     dv_hadamard_gadget,
     dv_hadamard_trials,
     dv_iqp_circuit,
     qubit_state,
 )
+from cviqp.seeding import _seeded_uniforms
 
 H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 X = np.array([[0, 1], [1, 0]])
@@ -85,9 +85,12 @@ class TestSeededUniforms:
 
     def test_trials_are_per_seed_gadget_runs(self):
         psi = qubit_state(0.3, 0.9539392014169456)
-        runs = dv_hadamard_trials(psi, 400, seed=2**64 - 200)
+        hs, probs = dv_hadamard_trials(psi, 400, seed=2**64 - 200)
+        assert hs.dtype == np.int64 and probs.dtype == np.float64
+        assert hs.shape == probs.shape == (400,)
+        runs = list(zip(hs.tolist(), probs.tolist()))
         assert runs == [dv_hadamard_gadget(psi, seed=2**64 - 200 + t)[1:] for t in range(400)]
-        assert {h for h, _prob in runs} == {0, 1}
+        assert set(hs.tolist()) == {0, 1}
 
 
 class TestIqpCircuit:

@@ -17,6 +17,7 @@ from cviqp.homodyne import (
     gkp_readout,
     project_bin,
     sample_outcome,
+    sample_outcomes,
 )
 from cviqp.quadgrid import (
     ModeState,
@@ -365,6 +366,48 @@ class TestSampleOutcome:
     def test_empty_distribution_rejected(self):
         with pytest.raises(ValidationError):
             sample_outcome({}, seed=0)
+
+    def test_negative_probability_rejected(self):
+        with pytest.raises(ValidationError, match="negative"):
+            sample_outcome({0: 0.5, 1: -0.25}, seed=0)
+
+
+class TestSampleOutcomes:
+    """The batched sampler is ``sample_outcome`` over consecutive seeds."""
+
+    # sums to 0.625: draws in [0.625, 0.8125) go to the lowest bin, -1, and
+    # draws in [0.8125, 1) to the highest, 2
+    SHORT = {2: 0.25, -1: 0.25, 0: 0.125}
+
+    @pytest.mark.parametrize("first", [0, 2**32 - 30, 2**64 - 30, 2**96 - 30, 2**128 - 64])
+    def test_equals_per_seed_samples(self, first):
+        got = sample_outcomes(self.SHORT, first, 64)
+        assert got == [sample_outcome(self.SHORT, first + t) for t in range(64)]
+        assert all(type(k) is int for k in got)
+        u = np.array([np.random.default_rng(first + t).random() for t in range(64)])
+        first_half, second_half = (u >= 0.625) & (u < 0.8125), u >= 0.8125
+        assert np.any(first_half) and np.any(second_half)  # both tail halves are drawn
+        assert {got[i] for i in np.flatnonzero(first_half)} == {-1}
+        assert {got[i] for i in np.flatnonzero(second_half)} == {2}
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(short_distributions())
+    def test_short_distribution_follows_the_tail_rule(self, case):
+        dist, seed = case
+        assert sample_outcomes(dist, seed, 4) == [documented_outcome(dist, seed + t) for t in range(4)]
+
+    def test_no_draws(self):
+        assert sample_outcomes(self.SHORT, 5, 0) == []
+
+    @pytest.mark.parametrize("dist", [{}, {0: 0.5, 1: -0.25}], ids=["empty", "negative"])
+    def test_invalid_distribution_rejected(self, dist):
+        with pytest.raises(ValidationError):
+            sample_outcomes(dist, 0, 3)
+
+    @pytest.mark.parametrize("first, count", [(2**128 - 1, 2), (2**128, 1), (-1, 1)])
+    def test_seeds_outside_0_to_2_128_rejected(self, first, count):
+        with pytest.raises(ValidationError, match="2\\*\\*128"):
+            sample_outcomes(self.SHORT, first, count)
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from cviqp.gadgets import (
     ShiftNoise,
-    _seeded_uniforms,
     fourier_gadget,
     fourier_gadget_target,
     gkp_error_correct,
@@ -32,6 +31,7 @@ from cviqp.homodyne import (
     project_bin,
 )
 from cviqp.quadgrid import Rep, as_rep, make_grid, self_dual_grid
+from cviqp.seeding import _seeded_uniforms
 from cviqp.states import MIN_SAMPLES_PER_STD, GkpParams, gkp_plus, squeezed_momentum
 
 from conftest import random_smooth_state
