@@ -9,7 +9,7 @@ pass the same checks (a numeric entry must also be a JSON number).  Results are
 CSV files whose first line is a ``#``-prefixed JSON dump of the parsed
 parameters, so identical parameters with identical seeds produce byte-identical
 files, from flags or from a file.  Randomized commands require ``--seed``.
-Commands hand ``_write_csv`` their results by column; ``main`` reuses one parser per process.
+Commands hand ``_write_csv`` their results by column.
 
 Exit codes: 0 success (and ``--help``), 2 validation error (no result file is
 written), 3 numerical failure (zero-mass post-selection bin, failed root-find).
@@ -18,7 +18,6 @@ written), 3 numerical failure (zero-mass post-selection bin, failed root-find).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from pathlib import Path
@@ -45,6 +44,7 @@ from .homodyne import (
     sample_outcomes,
 )
 from .quadgrid import ModeState, Rep, fidelity_pure, make_grid, normalized
+from .seeding import require_seeds
 from .states import GkpParams, gkp_minus, gkp_one, gkp_plus, gkp_zero, squeezed_momentum
 
 _GKP_STATES = {"plus": gkp_plus, "minus": gkp_minus, "zero": gkp_zero, "one": gkp_one}
@@ -117,21 +117,14 @@ def _fmt(x) -> str:
 
 
 def _column_cells(column: Iterable) -> list[str]:
-    """``_fmt`` of every cell of a column, each distinct value formatted once: a numeric
-    array grouped by bit pattern, so -0.0 and 0.0 stay distinct, any other column by
-    type and value, a float-like value by the bits of the float that ``_fmt`` formats."""
+    """``_fmt`` of every cell of a column; a numeric array formats each distinct bit
+    pattern once, so -0.0 and 0.0 stay distinct."""
     if isinstance(column, np.ndarray) and column.dtype.kind in "biuf" and column.itemsize in (1, 2, 4, 8):
         bits = np.ascontiguousarray(column).view(f"u{column.itemsize}")
         _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
         texts = list(map(_fmt, column[first].tolist()))
         return list(map(texts.__getitem__, inverse.tolist()))
-    texts, cells = {}, []
-    for v in column:
-        key = (type(v), float(v).hex() if isinstance(v, (float, np.floating)) else v)
-        if key not in texts:
-            texts[key] = _fmt(v)
-        cells.append(texts[key])
-    return cells
+    return list(map(_fmt, column))
 
 
 def _write_csv(args: argparse.Namespace, header: list[str], columns: Iterable[Iterable], **results) -> None:
@@ -172,22 +165,36 @@ def cmd_fourier_gadget(args: argparse.Namespace) -> int:
             rep = fourier_gadget(psi, sigma, det, args.postselect_k)
             lead = rep.diagnostics["leading_order_probability"]
             rows.append(
-                {
-                    "sigma": sigma,
-                    "eta": det.eta,
-                    "success_probability": rep.success_probability,
-                    "leading_order": lead,
-                    "relative_deviation": rep.success_probability / lead - 1.0,
-                    "fidelity_vs_ideal_fourier": rep.diagnostics["fidelity_vs_ideal_fourier"],
-                    "fidelity_vs_finite_squeezing_target": rep.diagnostics["fidelity_vs_finite_squeezing_target"],
-                    "ensemble_purity": rep.diagnostics["ensemble_purity"],
-                }
+                [
+                    sigma,
+                    det.eta,
+                    rep.success_probability,
+                    lead,
+                    rep.success_probability / lead - 1.0,
+                    rep.diagnostics["fidelity_vs_ideal_fourier"],
+                    rep.diagnostics["fidelity_vs_finite_squeezing_target"],
+                    rep.diagnostics["ensemble_purity"],
+                ]
             )
-    _write_csv(args, list(rows[0]), zip(*(row.values() for row in rows)))
+    _write_csv(
+        args,
+        [
+            "sigma",
+            "eta",
+            "success_probability",
+            "leading_order",
+            "relative_deviation",
+            "fidelity_vs_ideal_fourier",
+            "fidelity_vs_finite_squeezing_target",
+            "ensemble_purity",
+        ],
+        zip(*rows),
+    )
     return 0
 
 
 def cmd_error_correct(args: argparse.Namespace) -> int:
+    require_seeds(args.seed, args.trials)  # before any computation, as every other check
     grid = make_grid(args.grid_points, args.extent)
     det = DetectorParams(eta=args.eta)
     det.require_gkp_compatible()
@@ -211,21 +218,31 @@ def cmd_error_correct(args: argparse.Namespace) -> int:
             ancilla_state=ancilla,
         )
         diag = rep.diagnostics
-        records[k] = {
-            "outcome_k": k,
-            "p_k": rep.outcome_value,
-            "correction": diag["applied_correction"],
-            "net_offset": diag["net_position_offset"],
-            "threshold_held": diag["threshold_held"],
-            "miscorrected": diag["logical_miscorrection"],
-            "pre_fidelity": pre_fid,
-            "post_fidelity": ensemble_fidelity(rep.output, clean),
-        }
-    per_trial = [records[k] for k in ks]
+        records[k] = [
+            k,
+            rep.outcome_value,
+            diag["applied_correction"],
+            diag["net_position_offset"],
+            diag["threshold_held"],
+            diag["logical_miscorrection"],
+            pre_fid,
+            ensemble_fidelity(rep.output, clean),
+        ]
     _write_csv(
         args,
-        ["trial", "seed", *per_trial[0]],
-        [range(args.trials), range(args.seed, args.seed + args.trials), *zip(*(r.values() for r in per_trial))],
+        [
+            "trial",
+            "seed",
+            "outcome_k",
+            "p_k",
+            "correction",
+            "net_offset",
+            "threshold_held",
+            "miscorrected",
+            "pre_fidelity",
+            "post_fidelity",
+        ],
+        [range(args.trials), range(args.seed, args.seed + args.trials), *zip(*map(records.__getitem__, ks))],
     )
     return 0
 
@@ -277,7 +294,7 @@ def cmd_dv(args: argparse.Namespace) -> int:
         if postselect is None and args.seed is None:
             raise ValidationError("sampled hadamard-gadget runs need --seed")
         hs, probs = dv_hadamard_trials(qubit_state(1.0, 0.0), args.trials, postselect=postselect, seed=args.seed)
-        _write_csv(args, ["trial", "h", "probability"], [np.arange(len(hs)), hs, probs])
+        _write_csv(args, ["trial", "h", "probability"], [range(len(hs)), hs, probs])
         return 0
     circuit = args.iqp
     if not circuit:
@@ -451,17 +468,10 @@ def _config_flags(sub: argparse.ArgumentParser, path: str) -> list[str]:
     return flags
 
 
-@functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser that every ``main`` call of a process reuses, and its subcommand parsers by name."""
-    parser = build_parser()
-    (commands,) = (action.choices for action in parser._actions if action.dest == "command")
-    return parser, commands
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _parser()
+    parser = build_parser()
+    (commands,) = (action.choices for action in parser._actions if action.dest == "command")
     try:
         if argv and argv[0] in commands:
             # --config is read first, so the file can hold required flags; then one full parse

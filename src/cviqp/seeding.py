@@ -41,6 +41,12 @@ def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.nda
     return new_hi, new_lo
 
 
+def require_seeds(first: int, count: int) -> None:
+    """Raise ``ValidationError`` unless the seeds ``first .. first + count - 1`` all lie in [0, 2**128)."""
+    if not 0 <= first < 2**128 or first + count > 2**128:
+        raise ValidationError(f"seeded draws need seeds in [0, 2**128), got {first} .. {first + count - 1}")
+
+
 def _seeded_uniforms(first: int, count: int) -> np.ndarray:
     """``np.random.default_rng(first + t).random()`` for t < count, bit for bit, in one pass.
 
@@ -52,8 +58,7 @@ def _seeded_uniforms(first: int, count: int) -> np.ndarray:
     numpy's pool; larger seeds mix differently and are rejected.
     """
     first = operator.index(first)
-    if not 0 <= first < 2**128 or first + count > 2**128:
-        raise ValidationError(f"seeded draws need seeds in [0, 2**128), got {first} .. {first + count - 1}")
+    require_seeds(first, count)
     t = np.arange(count, dtype=np.uint64)
     lo = np.uint64(first & 0xFFFFFFFFFFFFFFFF) + t
     hi = np.uint64(first >> 64) + (lo < t)

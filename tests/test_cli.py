@@ -12,7 +12,7 @@ import pytest
 
 import cviqp
 from cviqp import cli
-from cviqp.cli import _fmt, _write_csv, build_parser, main
+from cviqp.cli import _fmt, _write_csv, main
 
 from test_reported_outputs import README_COMMANDS
 
@@ -248,7 +248,11 @@ class TestErrorCorrectCommand:
         assert len(set(ks)) > 1
 
     @pytest.mark.parametrize("seed, trials", [(2**128 - 1, 2), (2**128, 1)])
-    def test_seeds_from_2_128_exit_2_without_file(self, seed, trials, tmp_path, capsys):
+    def test_seeds_from_2_128_exit_2_without_file(self, seed, trials, tmp_path, capsys, monkeypatch):
+        def no_grid(*_args):
+            raise AssertionError("the seed range is checked before any computation")
+
+        monkeypatch.setattr(cli, "make_grid", no_grid)
         out = tmp_path / "ec.csv"
         assert main([*EC_SMALL, "--trials", str(trials), "--seed", str(seed), "--out", str(out)]) == 2
         assert not out.exists()
@@ -288,8 +292,6 @@ class TestWriteCsv:
             np.longdouble(0.1), np.float64(math.nan), np.int32(2**31 - 1), np.uint64(2**64 - 1), np.float64(-0.0),
         ],
         "bit-strings": ["000", "100", "010", "110", "001", "101", "011", "111", "000", "100", "010"],
-        # a str that spells a float's bits, next to that float
-        "mixed": [(0.5).hex(), 0.5, (0.5).hex(), 0.5, "1", 1, True, 1.0, "nan", math.nan, "-0"],
     }
 
     @staticmethod
@@ -313,20 +315,6 @@ class TestWriteCsv:
         out = tmp_path / "w.csv"
         _write_csv(argparse.Namespace(out=str(out)), ["x"], [np.array([-0.0, 0.0, math.nan, -0.0, 0.0])])
         assert out.read_text(encoding="utf-8").splitlines()[2:] == ["-0", "0", "nan", "-0", "0"]
-
-
-class TestParserReuse:
-    def test_main_reuses_one_parser_and_build_parser_makes_new_ones(self):
-        assert cli._parser() is cli._parser()
-        assert build_parser() is not build_parser()
-
-    def test_no_value_carries_over_between_calls(self, tmp_path):
-        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
-        assert main(["scaling", "--n", "1,10", "--l", "3", "--eta", "0.01", "--sigma", "0.1", "--out", str(first)]) == 0
-        assert main(["scaling", "--out", str(second)]) == 0
-        config, header, rows = read_rows(second)
-        assert config == {"n": "1,10,100,1000"}
-        assert header[-1] == "pe_bound_at_min" and len(rows) == 4
 
 
 class TestScalingCommand:
