@@ -30,7 +30,10 @@ oracle in the tests.
 
 The Fourier gadget's finite-squeezing target (psi convolved with a width-sigma
 Gaussian, read in momentum) is in position the ideal output F psi times the
-envelope exp(-sigma^2 q^2 / 2), so it is built the same way on every grid.
+envelope exp(-sigma^2 q^2 / 2), so it is built the same way on every grid,
+and the gadget scores its fidelity there, in position.  The gadget's squeezed
+ancilla depends only on (sigma, grid) and is kept for the last four pairs, so
+a warm gadget makes two grid transforms, those of F psi.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .homodyne import (
 )
 from .quadgrid import (
     ModeState,
+    QuadratureGrid,
     Rep,
     _require_same_grid,
     _transform,
@@ -60,12 +64,13 @@ from .quadgrid import (
     normalized,
     to_momentum,
 )
-from .gates import _unit_phase, apply_fourier, displace_p, displace_q
+from .gates import _apply_linear_phase, _kick_rows, _shift_rows, apply_fourier
 from .seeding import _seeded_uniforms
 from .states import GkpParams, gkp_plus, gkp_zero, squeezed_momentum
 
 SQRT_PI = math.sqrt(math.pi)
 _default_ancilla = functools.lru_cache(maxsize=1)(gkp_zero)  # one |0> comb: the last (params, grid)
+_SQUEEZED_ANCILLAE = 4  # (sigma, grid) pairs whose Fourier-gadget ancilla is kept
 
 
 def centered_mod_sqrt_pi(x: float) -> float:
@@ -94,15 +99,29 @@ def apply_shift_noise(
     psi: ModeState, noise: ShiftNoise, seed: int | np.random.Generator | None = None
 ) -> tuple[ModeState, tuple[float, float]]:
     """Apply one draw of the shift channel; returns the state and the realized (u, v)."""
+    return _apply_shift_noise(psi, noise, seed, psi.rep)
+
+
+def _apply_shift_noise(
+    psi: ModeState, noise: ShiftNoise, seed: int | np.random.Generator | None, rep: Rep
+) -> tuple[ModeState, tuple[float, float]]:
+    """:func:`apply_shift_noise` with the result in ``rep``.  The momentum kick
+    exp(-i v q), then the shift exp(-i u p), and the transform to ``rep`` all
+    run in one copy of the amplitudes, bit for bit as
+    ``as_rep(displace_q(displace_p(psi, v), u), rep)``."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     u = float(rng.normal(0.0, noise.u_std))
     v = float(rng.normal(0.0, noise.v_std))
-    out = psi
+    if u == 0.0 and v == 0.0:
+        return as_rep(psi, rep), (u, v)
+    rows = np.array(psi.amplitudes[np.newaxis])
     if v != 0.0:
-        out = displace_p(out, v)
+        _kick_rows(rows, psi.grid, psi.rep, v)
     if u != 0.0:
-        out = displace_q(out, u)
-    return out, (u, v)
+        _shift_rows(rows, psi.grid, psi.rep, u)
+    if rep is not psi.rep:
+        _transform(rows, psi.grid, rep, out=rows)
+    return ModeState(psi.grid, rep, rows[0]), (u, v)
 
 
 @dataclass
@@ -176,18 +195,30 @@ def _czt_plan(theta: float, j0: int, n: int, n_out: int, a0: int) -> tuple[int, 
     return size, kernel, chirp_in, chirp_out
 
 
-def _czt(x: np.ndarray, theta: float, j0: int, n_out: int, a0: int) -> np.ndarray:
+def _czt(
+    x: np.ndarray, theta: float, j0: int, n_out: int, a0: int, tilt: tuple | None = None
+) -> np.ndarray:
     """Chirp-z transform along the last axis, by Bluestein's algorithm.
 
     y[..., a] = sum_j x[..., j] exp(i theta u v) for a = 0 .. n_out - 1,
     with u = a + a0, v = j + j0 and u v = (u^2 + v^2 - (u - v)^2) / 2, so
     the sum is a convolution with the chirp exp(-i theta (u - v)^2 / 2).
-    The convolution runs in one zero-padded buffer, in place.
+    The convolution runs in one zero-padded buffer, in place.  With
+    ``tilt`` = (a, b), one pair per row of the result, the vector x is
+    first tilted by exp(i (a + b j)) (:func:`gates._apply_linear_phase`),
+    written straight into each row's buffer.
     """
     n = x.shape[-1]
     size, kernel, chirp_in, chirp_out = _czt_plan(theta, j0, n, n_out, a0)
-    buf = np.zeros((*x.shape[:-1], size), dtype=np.complex128)
-    np.multiply(x, chirp_in, out=buf[..., :n])
+    lead = x.shape[:-1] if tilt is None else np.broadcast_shapes(*map(np.shape, tilt))
+    buf = np.zeros((*lead, size), dtype=np.complex128)
+    head = buf[..., :n]
+    if tilt is None:
+        np.multiply(x, chirp_in, out=head)
+    else:
+        head[...] = x
+        _apply_linear_phase(head, *tilt)
+        np.multiply(head, chirp_in, out=head)
     np.fft.fft(buf, out=buf)
     buf *= kernel
     np.fft.ifft(buf, out=buf)
@@ -199,14 +230,13 @@ def _slices(measured: ModeState, s_values: np.ndarray) -> np.ndarray:
     g = measured.grid
     n = g.n_points
     psi = as_rep(measured, Rep.POSITION).amplitudes
-    q = g.points
     scale = g.dq / math.sqrt(2.0 * math.pi)
     batch = max(1, _CZT_BATCH_POINTS // (2 * n))
     out = np.empty((len(s_values), n), dtype=np.complex128)
     for lo in range(0, len(s_values), batch):
-        x = _unit_phase(np.outer(-s_values[lo : lo + batch], q))  # exp(-i s q)
-        np.multiply(psi, x, out=x)
-        np.multiply(scale, _czt(x, g.dq**2, -(n // 2), n, -(n // 2)), out=out[lo : lo + batch])
+        s = s_values[lo : lo + batch]
+        tilt = (-s * g.points[0], -s * g.dq)  # exp(-i s q_j)
+        np.multiply(scale, _czt(psi, g.dq**2, -(n // 2), n, -(n // 2), tilt), out=out[lo : lo + batch])
     return out
 
 
@@ -234,8 +264,9 @@ def _condition(
         samples = np.clip(np.rint(nodes / g.dp).astype(np.int64) + n // 2, 0, n - 1)
         eps, which = np.unique(nodes - g.momentum_points[samples], return_inverse=True)
         if np.any(eps):  # one transform of measured * exp(-i eps q) per offset, one batched FFT
-            stack = _unit_phase(np.outer(-eps, g.points))
-            stack *= as_rep(measured, Rep.POSITION).amplitudes
+            stack = np.empty((len(eps), n), dtype=np.complex128)
+            stack[...] = as_rep(measured, Rep.POSITION).amplitudes
+            _apply_linear_phase(stack, -eps * g.points[0], -eps * g.dq)
             _transform(stack, g, Rep.MOMENTUM, out=stack)
             for row in stack:  # reversed in place, a row at a time: contiguous for the dots
                 row[:] = row[::-1]
@@ -270,8 +301,7 @@ def _density_on_lattice(
     """D(offset + (a0 + a) h) for a = 0 .. n_out - 1, one row per offset."""
     half = coeffs.copy()
     half[0] *= 0.5
-    x = half * np.exp(-1j * dq * np.outer(offsets, np.arange(len(coeffs))))
-    series = _czt(x, -h * dq, 0, n_out, a0)
+    series = _czt(half, -h * dq, 0, n_out, a0, tilt=(0.0, -dq * offsets))  # exp(-i dq offset d)
     return np.maximum(series.real * (dq**3 / math.pi), 0.0)
 
 
@@ -319,13 +349,20 @@ def fourier_gadget_target(psi: ModeState, sigma: float) -> ModeState:
     """Finite-squeezing target of the Fourier gadget: psi convolved with a
     width-sigma Gaussian, read as a momentum wavefunction.  In position that
     is the ideal output F psi under the kernel's transform exp(-sigma^2 q^2 / 2)."""
-    return _finite_squeezing_target(apply_fourier(psi), sigma)
+    return to_momentum(_finite_squeezing_target(apply_fourier(psi), sigma))
 
 
 def _finite_squeezing_target(ideal: ModeState, sigma: float) -> ModeState:
-    """:func:`fourier_gadget_target` from the ideal output F psi, in position."""
+    """:func:`fourier_gadget_target` from the ideal output F psi, left in position."""
     envelope = np.exp(-0.5 * sigma**2 * ideal.grid.points**2)
-    return to_momentum(normalized(ModeState(ideal.grid, Rep.POSITION, envelope * ideal.amplitudes)))
+    return normalized(ModeState(ideal.grid, Rep.POSITION, envelope * ideal.amplitudes))
+
+
+@functools.lru_cache(maxsize=_SQUEEZED_ANCILLAE)
+def _squeezed_ancilla(sigma: float, grid: QuadratureGrid) -> tuple[ModeState, ModeState]:
+    """The Fourier gadget's ancilla ``squeezed_momentum(sigma, grid)`` and its position form."""
+    ancilla = squeezed_momentum(sigma, grid)
+    return ancilla, as_rep(ancilla, Rep.POSITION)
 
 
 def fourier_gadget(
@@ -346,7 +383,8 @@ def fourier_gadget(
     F psi and against :func:`fourier_gadget_target`.
     """
     pos = as_rep(psi, Rep.POSITION)
-    kept = as_rep(squeezed_momentum(sigma, pos.grid), Rep.POSITION)
+    ancilla, kept = _squeezed_ancilla(sigma, pos.grid)
+    check_edge_support(ancilla)  # a reused ancilla warns as a fresh build would
     ens = _condition(kept, pos, det, postselect_k)
     ideal = apply_fourier(pos)
     diagnostics: dict[str, float] = {
@@ -400,11 +438,11 @@ def gkp_error_correct(
     if ancilla_state is None:  # a reused comb warns as a fresh build would
         ancilla_state = _default_ancilla(ancilla_params, data.grid)
         check_edge_support(ancilla_state)
-    ancilla, (u2, v2) = apply_shift_noise(ancilla_state, ancilla_noise, seed=noise_seed)
-    data_pos = as_rep(data, Rep.POSITION)
     # on a self-dual grid the ancilla goes in momentum: one transform serves the
     # outcome masses and the pixel windows
-    anc = as_rep(ancilla, Rep.MOMENTUM if ancilla.grid.is_self_dual else Rep.POSITION)
+    anc_rep = Rep.MOMENTUM if ancilla_state.grid.is_self_dual else Rep.POSITION
+    anc, (u2, v2) = _apply_shift_noise(ancilla_state, ancilla_noise, noise_seed, anc_rep)
+    data_pos = as_rep(data, Rep.POSITION)
 
     if fixed_outcome_k is not None:
         k = fixed_outcome_k

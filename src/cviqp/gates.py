@@ -15,6 +15,19 @@ gate and kept for the last two grids, 48 bytes a grid point.
 Position shifts go through a linear phase in the momentum representation,
 which supports shifts that are not multiples of the grid spacing (the
 sqrt(pi) shifts of GKP logic).
+
+Every linear phase exp(i (a + b k)), k < n, comes from two tables of about
+sqrt(n) unit phases, hi[j] = exp(i (a + b m j)) and lo[l] = exp(i b l) with
+m = 2^floor(log2(n) / 2), and is applied in place a block at a time (kick
+block = hi[j] * lo, then row block = kick block * row block), so no n-length
+phase array is made.  The accuracy contract: against exp(-i u x_k) for a
+grid's own samples x_k, taken in extended precision, a kick errs by at most
+4 eps (1 + max|u x|), eps the float64 machine epsilon, a bound the
+per-sample np.exp(1j * x) also meets (``tests/test_gates.py::TestLinearPhase``);
+it is not bitwise np.exp.  The kicks of :func:`displace_p` and
+:func:`displace_q`, so every shift an ensemble or a fidelity applies, and the
+tilts of the gadget engine take this path.  Only the arbitrary f of
+:func:`apply_phase_function` is evaluated by cos and sin at every sample.
 """
 
 from __future__ import annotations
@@ -39,15 +52,91 @@ from .quadgrid import (
 
 _CZ_BLOCK_ROWS = 512  # bounds the transient phase-matrix allocation
 _FOURIER_GRIDS = 2  # grids whose Fourier chirps are kept: 48 bytes a point each
+_KICK_BLOCK_POINTS = 1024  # kick numbers a block holds (one table entry a row at least): 16 KiB
+_SPLITTER = 2.0**27 + 1.0  # Veltkamp's constant: splits a float64 into 26 + 27 bits
 
 
 def _unit_phase(x: np.ndarray) -> np.ndarray:
-    """exp(i x) for real x, bitwise: cos and sin written into one complex array."""
+    """exp(i x) for real x: cos and sin written into one complex array.
+
+    Bitwise np.exp(1j * x) for the arbitrary phase functions of
+    :func:`apply_phase_function`; linear phases use :func:`_phase_tables`.
+    """
     x = np.asarray(x, dtype=np.float64)
     out = np.empty(x.shape, dtype=np.complex128)
     np.cos(x, out=out.real)
     np.sin(x, out=out.imag)
     return out
+
+
+def _phase_tables(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tables (hi, lo) of the linear phase exp(i (a + b k)), k < n, n a power of two.
+
+    hi[..., j] = exp(i (a + b m j)) for j < n/m and lo[..., l] = exp(i b l)
+    for l < m, with m = 2^floor(log2(n) / 2): the phase at k = m j + l is
+    hi[..., j] * lo[..., l].  ``a`` and ``b`` are scalars (1-D tables) or
+    one entry per row (2-D tables, a row per entry).
+    """
+    m = 1 << (n.bit_length() - 1) // 2
+    a = np.asarray(a, dtype=np.float64)[..., np.newaxis]
+    b = np.asarray(b, dtype=np.float64)[..., np.newaxis]
+    # a + b m j held exactly as s + t: b m splits into halves of 26 and 27 bits
+    # whose products with j < 2^26 are exact, and two TwoSums add them to a.
+    # Rounding the argument of hi instead would err by up to eps |x| on a whole
+    # block of m samples, an error that repeats in blocks and so leaks into far
+    # momenta, where per-sample roundings stay white.
+    bm = b * m
+    split = _SPLITTER * bm
+    bm_hi = split - (split - bm)
+    j = np.arange(n // m, dtype=np.float64)
+    s, t1 = _two_sum(a, bm_hi * j)
+    s, t2 = _two_sum(s, (bm - bm_hi) * j)
+    hi = _unit_phase(s)
+    hi *= 1.0 + 1j * (t1 + t2)  # exp(i t) to O(t^2), with |t| <= eps |a + b m j|
+    return hi, _unit_phase(b * np.arange(m))
+
+
+def _two_sum(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, e) with s = fl(x + y) and s + e = x + y exactly (Knuth's TwoSum)."""
+    s = x + y
+    yy = s - x
+    return s, (x - (s - yy)) + (y - yy)
+
+
+def _apply_linear_phase(rows: np.ndarray, a, b) -> None:
+    """rows[:, k] <- exp(i (a + b k)) * rows[:, k] for k < n, in place.
+
+    ``rows`` is 2-D, each row contiguous.  Scalar ``a`` and ``b`` kick every
+    row alike; per-row ones (1-D, an entry per row) kick each row with its own
+    pair.  The kick comes from :func:`_phase_tables` a block at a time, kick
+    block times row block, in that order (numpy's complex multiply is not
+    bitwise commutative): bit for bit ``np.multiply(kick, rows)`` for the
+    kick ``hi[..., :, None] * lo[..., None, :]`` laid flat, without making it.
+
+    Every multiply here takes operands of one shape: numpy gives a
+    broadcasting multiply iteration buffers of up to 3 x 8192 complex
+    numbers.  So a kick block shared by all rows multiplies them one at a time.
+    """
+    n = rows.shape[-1]
+    hi, lo = _phase_tables(a, b, n)
+    shared = hi.ndim == 1
+    hi = hi.reshape(-1, hi.shape[-1])  # (1 or rows, n/m)
+    m = lo.shape[-1]
+    fit = max(1, _KICK_BLOCK_POINTS // (len(hi) * m))
+    step = min(hi.shape[-1], 1 << (fit.bit_length() - 1))  # powers of two: step divides n/m
+    kick = np.empty((len(hi), step, m), dtype=np.complex128)
+    lo_block = np.empty_like(kick)
+    lo_block[...] = lo.reshape(-1, 1, m)
+    flat = kick.reshape(len(hi), step * m)
+    for j in range(0, hi.shape[-1], step):
+        kick[...] = hi[:, j : j + step, np.newaxis]
+        np.multiply(kick, lo_block, out=kick)
+        block = rows[:, j * m : (j + step) * m]
+        if shared:
+            for row in block:
+                np.multiply(flat[0], row, out=row)
+        else:
+            np.multiply(flat, block, out=block)
 
 
 def apply_phase_function(psi: ModeState, f: Callable[[np.ndarray], np.ndarray]) -> ModeState:
@@ -151,24 +240,37 @@ def _shift_rows(rows: np.ndarray, grid: QuadratureGrid, rep: Rep, u: float) -> N
     """Apply exp(-i u p) in place to each row of ``rows``, wavefunctions in ``rep``.
 
     Position rows go to momentum and back through :func:`quadgrid._transform`,
-    written into ``rows``, with the kick between.  Kick times row, in that
-    order: numpy's complex multiply is not bitwise commutative.
+    written into ``rows``, with the kick exp(i (-u p_0 - u dp k)) of
+    :func:`_apply_linear_phase` between.
     """
     _check_shift(grid.extent, u)
-    kick = _unit_phase(-u * grid.momentum_points)
-    if rep is Rep.POSITION:
-        _transform(rows, grid, Rep.MOMENTUM, out=rows)
-    np.multiply(kick, rows, out=rows)
-    if rep is Rep.POSITION:
-        _transform(rows, grid, Rep.POSITION, out=rows)
+    _kick_in(rows, grid, Rep.MOMENTUM, rep, u)
 
 
 def displace_p(psi: ModeState, v: float) -> ModeState:
     """Momentum kick exp(-i v q): multiplies the position wavefunction by exp(-i v q)."""
-    _check_shift(psi.grid.momentum_extent, v)
-    pos = as_rep(psi, Rep.POSITION)
-    kicked = ModeState(pos.grid, Rep.POSITION, _unit_phase(-v * pos.grid.points) * pos.amplitudes)
-    return as_rep(kicked, psi.rep)
+    rows = np.array(psi.amplitudes[np.newaxis])
+    _kick_rows(rows, psi.grid, psi.rep, v)
+    return ModeState(psi.grid, psi.rep, rows[0])
+
+
+def _kick_rows(rows: np.ndarray, grid: QuadratureGrid, rep: Rep, v: float) -> None:
+    """Apply exp(-i v q) in place to each row of ``rows``, wavefunctions in ``rep``:
+    the kick exp(i (-v q_0 - v dq j)) of :func:`_apply_linear_phase`, between
+    transforms to position and back in ``rows`` when they are in momentum."""
+    _check_shift(grid.momentum_extent, v)
+    _kick_in(rows, grid, Rep.POSITION, rep, v)
+
+
+def _kick_in(rows: np.ndarray, grid: QuadratureGrid, axis: Rep, rep: Rep, w: float) -> None:
+    """Multiply ``rows`` (wavefunctions in ``rep``) in place by exp(-i w x), x the
+    samples of ``axis``, taking them to ``axis`` and back in their own buffer."""
+    x = grid.rep_points(axis)
+    if rep is not axis:
+        _transform(rows, grid, axis, out=rows)
+    _apply_linear_phase(rows, -w * x[0], -w * grid.rep_spacing(axis))
+    if rep is not axis:
+        _transform(rows, grid, rep, out=rows)
 
 
 def _check_shift(extent: float, shift: float) -> None:

@@ -53,6 +53,7 @@ from .quadgrid import (
     QuadratureGrid,
     Rep,
     TwoModeState,
+    _normalized_amplitudes,
     as_rep,
     normalized,
     transform_mode,
@@ -191,15 +192,17 @@ class PixelWindows:
     def shape(self) -> tuple[int, ...]:
         return (len(self.which), *self.stack.shape[1:])
 
-    def _dots(self, x: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    def _dots(self, doubled: np.ndarray, stack: np.ndarray) -> np.ndarray:
         """sum_m x[m] roll(stack[which[i]], s)[m] with s = shifts[i], for each row i.
 
         That is sum_j x[(j + s) % n] stack[which[i], j]: one contiguous dot per
-        row, against x laid twice end to end, a copy of x made once per read.
+        row, against x laid twice end to end.  The caller writes x into the
+        first half of ``doubled`` (2n entries), so that x is made in place
+        there; the second half is its copy.
         """
-        n = len(x)
-        doubled = np.concatenate((x, x))
-        out = np.empty(len(self.which), dtype=np.result_type(x, stack))
+        n = len(doubled) // 2
+        doubled[n:] = doubled[:n]
+        out = np.empty(len(self.which), dtype=np.result_type(doubled, stack))
         for i, (t, s) in enumerate(zip(self.which.tolist(), self.shifts.tolist())):
             out[i] = np.dot(doubled[s : s + n], stack[t])
         return out
@@ -213,12 +216,18 @@ class PixelWindows:
         masses rounds relative to the whole distribution instead.
         """
         sq = np.abs(self.stack)
-        return self._dots(np.abs(self.kept) ** 2, np.multiply(sq, sq, out=sq))
+        doubled = np.empty(2 * len(self.kept))
+        x = doubled[: len(self.kept)]
+        np.square(np.abs(self.kept, out=x), out=x)
+        return self._dots(doubled, np.multiply(sq, sq, out=sq))
 
     def overlaps(self, target: np.ndarray) -> np.ndarray:
         """sum_m conj(target[m]) kept[m] roll(...)[m] of each unnormalized row;
         like :attr:`sq_norms`, each is exact to rounding relative to its own row."""
-        return self._dots(np.conj(target) * self.kept, self.stack)
+        doubled = np.empty(2 * len(self.kept), dtype=np.complex128)
+        x = doubled[: len(self.kept)]
+        np.multiply(np.conj(target, out=x), self.kept, out=x)
+        return self._dots(doubled, self.stack)
 
     def build(self, norms: Iterable[float]) -> np.ndarray:
         """The rows, each divided by its entry of ``norms``: multiplied by the
@@ -459,11 +468,12 @@ def ensemble_fidelity(ensemble: ConditionalEnsemble, target: ModeState) -> float
     without building the rows."""
     if target.grid != ensemble.grid:
         raise GridMismatchError("states live on different grids")
-    t = normalized(as_rep(target, ensemble.rep))
-    if ensemble.u != 0.0:
-        t = displace_q(t, -ensemble.u)
+    t = as_rep(target, ensemble.rep)
+    amplitudes = _normalized_amplitudes(t)
+    if ensemble.u != 0.0:  # in the normalized target's own buffer
+        _shift_rows(amplitudes[np.newaxis], t.grid, t.rep, -ensemble.u)
     w = ensemble.weights
-    overlaps = ensemble.windows.overlaps(t.amplitudes) * t.spacing
+    overlaps = ensemble.windows.overlaps(amplitudes) * t.spacing
     fids = np.minimum(np.abs(overlaps) ** 2 / ensemble._sq_norms, 1.0)
     return float(np.dot(w, fids) / np.sum(w))
 

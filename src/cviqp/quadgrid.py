@@ -173,10 +173,15 @@ def norm_two_mode(state: TwoModeState) -> float:
 
 
 def normalized(state: ModeState) -> ModeState:
+    return ModeState(state.grid, state.rep, _normalized_amplitudes(state))
+
+
+def _normalized_amplitudes(state: ModeState) -> np.ndarray:
+    """The amplitudes of :func:`normalized`, in a new writeable array."""
     n = norm(state)
     if n == 0.0:
         raise ValidationError("cannot normalize a zero state")
-    return ModeState(state.grid, state.rep, state.amplitudes / n)
+    return state.amplitudes / n
 
 
 def check_edge_support(state: ModeState) -> float:
@@ -210,6 +215,15 @@ def inner_product(a: ModeState, b: ModeState) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes) * a.spacing)
 
 
+@functools.lru_cache(maxsize=4)
+def _alternating_signs(n: int) -> np.ndarray:
+    """(1, -1, 1, -1, ...) of length n, read-only and complex, so that a
+    complex multiply by it needs no cast buffer."""
+    s = np.tile(np.array([1.0, -1.0], dtype=np.complex128), n // 2)
+    s.flags.writeable = False
+    return s
+
+
 def _transform(
     amplitudes: np.ndarray, grid: QuadratureGrid, rep: Rep, axis: int = -1, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -219,13 +233,16 @@ def _transform(
     evaluated exactly by an FFT; to position: its inverse (the +i kernel).
     The half-extent offsets of both grids become alternating signs,
     exp(-i p_k q_j) = (-i)^n (-1)^j (-1)^k exp(-2i pi j k / n), with (-i)^n = 1
-    as 4 divides n.  Every other axis is a batch axis.  The result is written
-    to ``out`` when given, which may be ``amplitudes`` itself.
+    as 4 divides n.  The signs are one read-only vector per n, made on first
+    use and multiplied as before, so the output bits are those of a fresh
+    vector.  Every other axis is a batch axis.  The result is written to
+    ``out`` when given, which may be ``amplitudes`` itself: then the transform
+    allocates no n-length array (numpy's FFT keeps its own scratch).
     """
     n = grid.n_points
     shape = [1] * np.ndim(amplitudes)
     shape[axis] = n
-    s = np.tile([1.0, -1.0], n // 2).reshape(shape)
+    s = _alternating_signs(n).reshape(shape)
     fft, scale = (np.fft.fft, grid.dq) if rep is Rep.MOMENTUM else (np.fft.ifft, grid.dp * n)
     out = np.multiply(s, amplitudes, out=out)
     fft(out, axis=axis, out=out)

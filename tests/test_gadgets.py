@@ -32,6 +32,7 @@ from cviqp.quadgrid import (
     GridSupportWarning,
     ModeState,
     Rep,
+    as_rep,
     fidelity_pure,
     make_grid,
     normalized,
@@ -119,6 +120,18 @@ class TestShiftNoise:
     def test_negative_std_rejected(self):
         with pytest.raises(ValidationError):
             ShiftNoise(u_std=-0.1)
+
+    @pytest.mark.parametrize("rep", [Rep.POSITION, Rep.MOMENTUM])
+    def test_one_buffer_equals_the_gates_in_turn(self, grid_small, rep):
+        # the kick, the shift and the transform run in one copy of the amplitudes
+        psi = random_smooth_state(grid_small, seed=7)
+        noise = ShiftNoise(u_std=0.7, v_std=0.25)
+        for seed in range(4):
+            out, (u, v) = gadgets._apply_shift_noise(psi, noise, seed, rep)
+            in_turn = displace_q(displace_p(psi, v), u)
+            assert out.rep is rep and u != 0.0 and v != 0.0
+            assert np.array_equal(out.amplitudes, as_rep(in_turn, rep).amplitudes)
+            assert np.array_equal(apply_shift_noise(psi, noise, seed=seed)[0].amplitudes, in_turn.amplitudes)
 
 
 @pytest.fixture(scope="module")
@@ -709,3 +722,53 @@ class TestChirpZPlans:
         assert np.array_equal(cold.output.weights, warm.output.weights)
         assert np.array_equal(cold.output.rows, warm.output.rows)
         assert cold.diagnostics == warm.diagnostics
+
+    def test_warm_fourier_gadget_reuses_its_ancilla(self, monkeypatch):
+        grid = ORACLE_GRIDS["general"]
+        psi = random_smooth_state(grid, seed=12)
+        det = DetectorParams(eta=0.01)
+        fourier_gadget(psi, 0.4, det)
+        calls = {"squeezed_momentum": 0, "check_edge_support": 0}
+
+        def counting(name, original):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(gadgets, name, counting(name, getattr(gadgets, name)))
+        warm = fourier_gadget(psi, 0.4, det)
+        # the reused ancilla is checked for edge support on every call, as a fresh one is
+        assert calls == {"squeezed_momentum": 0, "check_edge_support": 1}
+        gadgets._squeezed_ancilla.cache_clear()
+        cold = fourier_gadget(psi, 0.4, det)
+        assert calls == {"squeezed_momentum": 1, "check_edge_support": 2}
+        assert np.array_equal(cold.output.weights, warm.output.weights)
+        assert np.array_equal(cold.output.rows, warm.output.rows)
+        assert cold.diagnostics == warm.diagnostics
+
+    def test_warm_fourier_gadget_makes_two_grid_transforms(self, gadget_grid, monkeypatch):
+        # the benchmark's gadget: only the ideal output F psi is transformed (to
+        # momentum and back); the ancilla is kept in position and the
+        # finite-squeezing target is scored in position, where it is built
+        psi = vacuum(gadget_grid)
+        det = DetectorParams(eta=0.01)
+        fourier_gadget(psi, 0.1, det)
+        transformed = []
+        original = quadgrid._transform
+
+        def counting(amplitudes, grid, rep, axis=-1, out=None):
+            transformed.append(rep)
+            return original(amplitudes, grid, rep, axis, out)
+
+        for module in (quadgrid, gates, gadgets):
+            monkeypatch.setattr(module, "_transform", counting)
+        rep = fourier_gadget(psi, 0.1, det)
+        assert transformed == [Rep.MOMENTUM, Rep.POSITION]
+        target = fourier_gadget_target(psi, 0.1)
+        assert target.rep is Rep.MOMENTUM
+        assert rep.diagnostics["fidelity_vs_finite_squeezing_target"] == pytest.approx(
+            ensemble_fidelity(rep.output, target), abs=1e-14
+        )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from cviqp.errors import RepresentationError, ValidationError
 from cviqp.homodyne import ConditionalEnsemble, DetectorParams, gkp_readout
 from cviqp.gates import (
+    _apply_linear_phase,
+    _phase_tables,
     _shift_rows,
     apply_cz,
     apply_fourier,
@@ -285,20 +288,34 @@ class TestDisplacements:
         assert max(abs(phi.amplitudes[0]), abs(phi.amplitudes[-1])) < 1e-12
 
 
+def table_kick(a, b, n):
+    """The kick exp(i (a + b k)), k < n, as the kernel's tables make it, laid
+    flat: hi[..., j] * lo[..., l] at k = m j + l."""
+    hi, lo = _phase_tables(a, b, n)
+    return (hi[..., :, np.newaxis] * lo[..., np.newaxis, :]).reshape(*hi.shape[:-1], n)
+
+
+def grid_kick(grid, rep, w):
+    """The table kick exp(-i w x_k) over the samples x_k of ``rep`` on ``grid``."""
+    x = grid.rep_points(rep)
+    return table_kick(-w * x[0], -w * grid.rep_spacing(rep), grid.n_points)
+
+
 @pytest.mark.parametrize("grid", [make_grid(256, 30.0), self_dual_grid(1024)], ids=["general", "self_dual"])
 class TestUnitPhaseValues:
-    """The gates build exp(i x) from cos and sin; the values are those of np.exp(1j * x)."""
+    """Linear kicks are the kernel's table kicks times the amplitudes, bit for
+    bit; an arbitrary phase function is exp(i f(q)) as np.exp(1j * f(q)) makes it."""
 
     def test_displace_p(self, grid):
         psi = random_dense_state(grid, seed=40)
         for v in (0.8, -1.37, 3.1):
-            expected = np.exp(-1j * v * grid.points) * psi.amplitudes
+            expected = np.multiply(grid_kick(grid, Rep.POSITION, v), psi.amplitudes)
             assert np.array_equal(displace_p(psi, v).amplitudes, expected)
 
     def test_displace_q(self, grid):
         psi = random_dense_state(grid, seed=41)
         for u in (0.8, -1.37, SQRT_PI):
-            kicked = np.exp(-1j * u * grid.momentum_points) * to_momentum(psi).amplitudes
+            kicked = np.multiply(grid_kick(grid, Rep.MOMENTUM, u), to_momentum(psi).amplitudes)
             expected = to_position(ModeState(grid, Rep.MOMENTUM, kicked))
             assert np.array_equal(displace_q(psi, u).amplitudes, expected.amplitudes)
             phi = to_momentum(psi)
@@ -315,11 +332,11 @@ class TestUnitPhaseValues:
 @pytest.mark.parametrize("rep", [Rep.POSITION, Rep.MOMENTUM])
 class TestShiftValues:
     """The in-place shift equals, bit for bit, the textbook one: transform to
-    momentum, multiply by the kick, transform back."""
+    momentum, multiply by the kick the kernel's tables make, transform back."""
 
     @staticmethod
     def textbook(row, grid, rep, u):
-        kick = np.exp(-1j * u * grid.momentum_points)
+        kick = grid_kick(grid, Rep.MOMENTUM, u)
         if rep is Rep.MOMENTUM:
             return np.multiply(kick, row)
         phi = _transform(row, grid, Rep.MOMENTUM)
@@ -347,3 +364,77 @@ class TestShiftValues:
         ens = ConditionalEnsemble(grid, rep, np.ones(45), rows, u=SQRT_PI)
         for before, after in zip(ens.rows, ens.components):
             assert np.array_equal(after, self.textbook(before, grid, rep, SQRT_PI))
+
+
+class TestLinearPhase:
+    """The table kernel exp(i (a + b k)): its accuracy, and its in-place blocks."""
+
+    EPS = np.finfo(np.float64).eps
+
+    @staticmethod
+    def exact(u, samples):
+        """exp(-i u x) in extended precision for the grid's own float samples x, and max |u x|."""
+        x = -np.longdouble(u) * samples.astype(np.longdouble)
+        return np.cos(x) + 1j * np.sin(x), float(np.max(np.abs(x)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        log2n=st.integers(6, 18),
+        general=st.booleans(),
+        ratio=st.floats(0.25, 4.0),
+        axis=st.sampled_from([Rep.POSITION, Rep.MOMENTUM]),
+        reach=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=3),
+        signs=st.lists(st.booleans(), min_size=3, max_size=3),
+    )
+    def test_within_four_eps_of_the_exact_phase(self, log2n, general, ratio, axis, reach, signs):
+        # |u x| up to 10^reach, one (a, b) pair per row; the per-sample
+        # np.exp(1j * x) meets the same bound (0.47 at worst in these units,
+        # the tables 1.2)
+        n = 2**log2n
+        grid = make_grid(n, ratio * math.sqrt(2.0 * math.pi * n)) if general else self_dual_grid(n)
+        x = grid.rep_points(axis)
+        us = np.array([(1.0 if s else -1.0) * 10.0**r / np.max(np.abs(x)) for r, s in zip(reach, signs)])
+        rows = np.ones((len(us), n), dtype=np.complex128)
+        _apply_linear_phase(rows, -us * x[0], -us * grid.rep_spacing(axis))
+        for row, u in zip(rows, us):
+            exact, reach_x = self.exact(u, x)
+            bound = 4.0 * self.EPS * (1.0 + reach_x)
+            assert np.max(np.abs(row - exact)) <= bound
+            assert np.max(np.abs(np.exp(1j * (-u * x)) - exact)) <= bound
+
+    @pytest.mark.parametrize("n", [64, 128, 2048, 65536])
+    def test_in_place_blocks_equal_the_table_kick(self, n):
+        # scalar and per-row pairs; rows of a wider buffer, as the chirp-z
+        # transform hands them over; m = n/m and m != n/m
+        rng = np.random.default_rng(n)
+        buf = rng.normal(size=(3, n + 40)) + 1j * rng.normal(size=(3, n + 40))
+        rows = buf[:, :n]
+        a, b = rng.normal(size=3), rng.normal(size=3) / n
+        for pair in ((a[0], b[0]), (a, b), (0.0, b)):
+            expected = np.multiply(table_kick(*pair, n), rows)
+            tail = buf[:, n:].copy()
+            _apply_linear_phase(rows, *pair)
+            assert np.array_equal(rows, expected)
+            assert np.array_equal(buf[:, n:], tail)
+
+    def test_kicks_and_transforms_allocate_under_64_kib(self):
+        # beyond the result: the parent's 1 MiB kick and 512 KiB sign vector are gone
+        grid = self_dual_grid(65536)
+        n = grid.n_points
+        psi = random_dense_state(grid, seed=60)
+        rows = TestShiftValues.rows(grid, 45, 61)
+        x = np.array(rows[0])
+        for call, result_bytes in (
+            (lambda: displace_q(psi, 0.7), 16 * n),
+            (lambda: displace_p(psi, 0.7), 16 * n),
+            (lambda: _shift_rows(rows, grid, Rep.POSITION, 0.7), 0),
+            (lambda: _transform(x, grid, Rep.MOMENTUM, out=x), 0),
+        ):
+            call()  # the grid's samples and sign vector are made on first use
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - result_bytes < 64 * 1024, peak - result_bytes
