@@ -17,7 +17,8 @@ kept(q) * meas_tilde(s - q), with meas_tilde the momentum transform of the
 measured mode, so slices and the full outcome distribution cost O(n log n)
 and no n x n array is built.  The grid kind alone chooses how a slice is
 taken: on a self-dual grid (dq == dp) as a window of a grid FFT, and on any
-other grid as a chirp-z transform (Bluestein's algorithm).  Either way the
+other grid as a chirp-z transform (Bluestein's algorithm); a sample-regime
+pixel there reads one chirp-z spectrum, rolled per node.  Either way the
 ensemble keeps the kept mode and the slices as factors, and its weights and
 overlaps with a target are one dot per row.  The GKP correction stays
 pending on the ensemble, whose readers apply it to the one vector each of
@@ -160,6 +161,11 @@ class GadgetReport:
 # psi exp(-i eps q).  Chirp-z slices serve every other grid.  The ensemble
 # holds either kind as factors (PixelWindows).
 #
+# On an n-point grid the chirp-z buffer holds exactly 2n entries, and at a
+# momentum sample p_a the tilt exp(-i p_a q_j) is (-1)^(a - n/2) times the
+# buffer's modulation by the integer frequency c = 2 (a - n/2): it rolls the
+# untilted spectrum by c, so a sample-regime pixel reads one chirp-z spectrum.
+#
 # The chirp-z transform is written here in numpy because the package imports
 # no scipy, and because scipy.signal's w**(k**2/2) chirps drift off the unit
 # circle (2.7e-10 relative on a 4096-point pixel probability, against 7e-16
@@ -240,6 +246,27 @@ def _slices(measured: ModeState, s_values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lattice_slices(measured: ModeState, samples: np.ndarray) -> np.ndarray:
+    """:func:`_slices` at the momentum samples p_a, a in ``samples``: one chirp-z
+    spectrum of the untilted input, then per node a roll and one inverse FFT."""
+    g = measured.grid
+    n = g.n_points
+    size, kernel, chirp_in, chirp_out = _czt_plan(g.dq**2, -(n // 2), n, n, -(n // 2))
+    buf = np.zeros(size, dtype=np.complex128)
+    np.multiply(as_rep(measured, Rep.POSITION).amplitudes, chirp_in, out=buf[:n])
+    spec = np.fft.fft(buf)
+    scale = g.dq / math.sqrt(2.0 * math.pi)
+    out = np.empty((len(samples), n), dtype=np.complex128)
+    for row, a in zip(out, samples.tolist()):
+        c = 2 * (a - n // 2) % size
+        np.multiply(spec[c:], kernel[: size - c], out=buf[: size - c])
+        np.multiply(spec[:c], kernel[size - c :], out=buf[size - c :])
+        np.fft.ifft(buf, out=buf)
+        np.multiply(chirp_out, buf[n - 1 : 2 * n - 1], out=row)
+        row *= -scale if (a - n // 2) % 2 else scale
+    return out
+
+
 def _condition(
     kept: ModeState, measured: ModeState, det: DetectorParams, k: int, u: float = 0.0
 ) -> ConditionalEnsemble:
@@ -253,16 +280,18 @@ def _condition(
     p_a + eps, p_a its nearest sample, leaves kept[m] T[(a + n/2 - m) % n],
     with T the transform tilted by eps: the stack holds the transforms
     reversed, R[j] = T[n - 1 - j], read at the shift a + n/2 + 1.  Elsewhere
-    the stack is the nodes' chirp-z slices, unshifted.
+    the stack is the nodes' chirp-z slices, unshifted; in the sample regime
+    they come from one chirp-z spectrum, rolled per node.
     :meth:`ConditionalEnsemble.from_pixel` weighs the rows.
     """
     _require_same_grid(kept, measured)
     g = measured.grid
     n = g.n_points
     nodes, node_measure = det.pixel_nodes(g, k)
+    samples = np.clip(np.rint(nodes / g.dp).astype(np.int64) + n // 2, 0, n - 1)
+    offsets = nodes - g.momentum_points[samples]
     if g.is_self_dual:
-        samples = np.clip(np.rint(nodes / g.dp).astype(np.int64) + n // 2, 0, n - 1)
-        eps, which = np.unique(nodes - g.momentum_points[samples], return_inverse=True)
+        eps, which = np.unique(offsets, return_inverse=True)
         if np.any(eps):  # one transform of measured * exp(-i eps q) per offset, one batched FFT
             stack = np.empty((len(eps), n), dtype=np.complex128)
             stack[...] = as_rep(measured, Rep.POSITION).amplitudes
@@ -274,8 +303,9 @@ def _condition(
             stack = as_rep(measured, Rep.MOMENTUM).amplitudes[np.newaxis, ::-1].copy()
         windows = PixelWindows(kept.amplitudes, stack, which, (samples + n // 2 + 1) % n)
     else:  # one chirp-z slice per node, unshifted
+        stack = _slices(measured, nodes) if np.any(offsets) else _lattice_slices(measured, samples)
         which = np.arange(len(nodes))
-        windows = PixelWindows(kept.amplitudes, _slices(measured, nodes), which, np.zeros_like(which))
+        windows = PixelWindows(kept.amplitudes, stack, which, np.zeros_like(which))
     return ConditionalEnsemble.from_pixel(g, Rep.POSITION, k, node_measure, windows, u)
 
 

@@ -413,6 +413,42 @@ class TestGkpErrorCorrect:
         with pytest.raises(GridMismatchError):
             gkp_error_correct(data, params, ShiftNoise.none(), det, fixed_outcome_k=0, ancilla_state=anc)
 
+    @pytest.mark.parametrize("n, extent, m", [(1024, 64.0, 4), (4096, 256.0, 4), (128, 20.0, 2)])
+    def test_sample_regime_spectrum_matches_the_tilted_slices(self, n, extent, m):
+        # on a general grid a sample-regime pixel rolls one chirp-z spectrum per node;
+        # each node's tilted transform, as the sub-grid regime makes it, is the reference
+        grid = make_grid(n, extent)
+        det = DetectorParams(eta=SQRT_PI / m)
+        assert det.sample_aligned(grid) and not grid.is_self_dual
+        data = random_smooth_state(grid, seed=1)
+        # a position width of 2 dq spreads the outcomes out to the momentum window's edge
+        anc = normalized(ModeState(grid, Rep.POSITION, np.exp(-0.5 * (grid.points / (2.0 * grid.dq)) ** 2)))
+        live = [k for k, p in outcome_distribution(data, anc, det).items() if p > 1e-12]
+        outermost = max(live, key=abs)
+        assert abs(outermost) >= 0.75 * abs(det.bin_of(float(grid.momentum_points[0])))
+        for k in (0, outermost):
+            stack = _condition(data, anc, det, k).windows.stack
+            tilted = gadgets._slices(anc, det.pixel_nodes(grid, k)[0])
+            assert stack.shape == tilted.shape
+            assert np.max(np.abs(stack - tilted)) <= 1e-13 * np.max(np.abs(tilted)), k
+
+    def test_sample_regime_pixel_allocates_little_beyond_its_stack(self):
+        # the README correction's pixel: one spectrum and one padded row, no (nodes, 2n) batch
+        grid = make_grid(1024, 64.0)
+        det = DetectorParams(eta=SQRT_PI / 4)
+        data = displace_q(gkp_plus(GkpParams.tied(0.25), grid), 0.2)
+        anc = gkp_zero(GkpParams.tied(0.25), grid)
+        _condition(data, anc, det, 0)  # plans the chirp-z transform
+        tracemalloc.start()
+        try:
+            ens = _condition(data, anc, det, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ens.weights) == 9
+        transient = peak - ens.windows.stack.nbytes
+        assert transient < 128 * 2**10, f"{transient / 2**10:.0f} KiB beyond the stack"
+
     def test_chirp_z_batches_join_without_a_seam(self, monkeypatch):
         # sub-grid slices on a general grid come from one chirp-z transform per batch of nodes
         grid = ORACLE_GRIDS["general"]
@@ -552,6 +588,28 @@ class TestFactoredEnsemble:
             assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
             assert len(rep.output.weights) > min_rows and 0.0 < fid <= 1.0
             assert rep.output.windows is not None and "rows" not in vars(rep.output)
+
+    def test_warm_correction_trial_peak(self):
+        # one warm trial of the benchmark's correction shape peaks at about 4.0 MiB of
+        # temporaries, the 2 MiB doubled overlap vector the largest.  The trial's heap
+        # stays mapped only while glibc's dynamic trim threshold (twice the largest
+        # mmapped chunk freed) covers it: one more 1 MiB temporary brought back about
+        # 1000 minor page faults a trial, which no timing test sees.
+        grid = self_dual_grid(65536)
+        clean = gkp_plus(GkpParams.tied(0.25), grid)
+        det = DetectorParams(eta=SQRT_PI / 8)
+        noise = ShiftNoise(0.0, 0.05)
+        for seed, u1 in ((1, 0.1), (2, -0.2)):  # the first trial builds the ancilla comb
+            data = displace_q(clean, u1)
+            tracemalloc.start()
+            try:
+                rep = gkp_error_correct(data, GkpParams.tied(0.05), noise, det, seed=seed, known_data_shift=(u1, 0.0))
+                ensemble_fidelity(rep.output, clean)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert len(rep.output.weights) > 40
+        assert peak < 4.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_windows_of_zero_norm_are_dropped(self):
         # every other data sample is 0, and the constant ancilla's momentum

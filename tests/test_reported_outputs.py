@@ -1,4 +1,5 @@
-"""The README examples' CSVs against values recorded from an earlier version.
+"""The README examples' CSVs and the ``scaling`` stdout against values recorded
+from an earlier version.
 
 A change that moves a reported number fails here and has to update the
 reference file in ``tests/data`` on purpose.  Integers and flags must match
@@ -24,6 +25,9 @@ README_COMMANDS = {
         "error-correct", "--delta", "0.25", "--eta", "0.4431134627263791", "--u1", "0.2",
         "--trials", "100", "--seed", "7", "--grid-points", "1024", "--extent", "64",
     ],
+    "readme_readout.csv": [
+        "readout", "--delta", "0.15,0.2,0.25", "--eta", "0.2215567313631895", "--state", "minus",
+    ],
 }
 
 
@@ -36,6 +40,19 @@ def _same_field(column: str, got: str, want: str) -> bool:
         return got == want
     g, w = float(got), float(want)
     return abs(g - w) <= max(1e-10 * abs(w), 1e-15)
+
+
+def _same_token(got: str, want: str) -> bool:
+    """A word of free text: integers and words exactly, other numbers as a float column.
+    Trailing punctuation is compared apart."""
+    g, w = got.rstrip(",:"), want.rstrip(",:")
+    if got[len(g):] != want[len(w):]:
+        return False
+    try:
+        float(w)
+    except ValueError:
+        return g == w
+    return g == w if w.lstrip("-").isdigit() else _same_field("", g, w)
 
 
 @pytest.mark.parametrize("name", sorted(README_COMMANDS))
@@ -52,6 +69,18 @@ def test_readme_csv_matches_recorded_values(tmp_path, name):
         assert len(fields) == len(header)
         for column, g, w in fields:
             assert _same_field(column, g, w), f"{column}: {g} != {w} in row {line_want}"
+
+
+def test_readme_scaling_stdout_matches_recorded_values(capsys):
+    assert main(["scaling", "--n", "1,10,100,1000", "--solve-ft-error", "1e-6"]) == 0
+    got = capsys.readouterr().out.splitlines()
+    want = (DATA / "readme_scaling.txt").read_text().splitlines()
+    assert len(got) == len(want)
+    for line_got, line_want in zip(got, want):
+        tokens = list(zip(line_got.split(), line_want.split()))
+        assert len(tokens) == len(line_want.split()) == len(line_got.split())
+        for g, w in tokens:
+            assert _same_token(g, w), f"{g} != {w} in line {line_want!r}"
 
 
 def test_readme_dv_csv_is_pinned(tmp_path):
