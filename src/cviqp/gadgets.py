@@ -17,8 +17,8 @@ kept(q) * meas_tilde(s - q), with meas_tilde the momentum transform of the
 measured mode, so slices and the full outcome distribution cost O(n log n)
 and no n x n array is built.  The grid kind alone chooses how a slice is
 taken: on a self-dual grid (dq == dp) as a window of a grid FFT, and on any
-other grid as a chirp-z transform (Bluestein's algorithm); a sample-regime
-pixel there reads one chirp-z spectrum, rolled per node.  Either way the
+other grid as a chirp-z transform (Bluestein's algorithm), read from one
+spectrum per distinct node offset, rolled per node.  Either way the
 ensemble keeps the kept mode and the slices as factors, and its weights and
 overlaps with a target are one dot per row.  The GKP correction stays
 pending on the ensemble, whose readers apply it to the one vector each of
@@ -164,7 +164,10 @@ class GadgetReport:
 # On an n-point grid the chirp-z buffer holds exactly 2n entries, and at a
 # momentum sample p_a the tilt exp(-i p_a q_j) is (-1)^(a - n/2) times the
 # buffer's modulation by the integer frequency c = 2 (a - n/2): it rolls the
-# untilted spectrum by c, so a sample-regime pixel reads one chirp-z spectrum.
+# spectrum by c.  So the node p_a + eps reads the chirp-z spectrum of
+# psi exp(-i eps q), rolled by c: a pixel makes one spectrum per distinct
+# offset (one in the sample regime, where every eps is 0) and one inverse
+# FFT per node.
 #
 # The chirp-z transform is written here in numpy because the package imports
 # no scipy, and because scipy.signal's w**(k**2/2) chirps drift off the unit
@@ -178,7 +181,6 @@ class GadgetReport:
 # 48 (n + n_out) bytes: 256 KiB at 4096 points, 16 MiB at 262144, and the
 # cache holds at most _CZT_PLANS of them.
 
-_CZT_BATCH_POINTS = 1 << 22  # bounds the (nodes x 2n) transform buffer
 _CZT_PLANS = 4  # a sub-grid correction trial on a general grid reads four plans, a Fourier gadget one
 
 
@@ -231,36 +233,28 @@ def _czt(
     return chirp_out * buf[..., n - 1 : n - 1 + n_out]
 
 
-def _slices(measured: ModeState, s_values: np.ndarray) -> np.ndarray:
-    """meas_tilde(s - q_m) over the grid, one row per measured value s."""
-    g = measured.grid
-    n = g.n_points
-    psi = as_rep(measured, Rep.POSITION).amplitudes
-    scale = g.dq / math.sqrt(2.0 * math.pi)
-    batch = max(1, _CZT_BATCH_POINTS // (2 * n))
-    out = np.empty((len(s_values), n), dtype=np.complex128)
-    for lo in range(0, len(s_values), batch):
-        s = s_values[lo : lo + batch]
-        tilt = (-s * g.points[0], -s * g.dq)  # exp(-i s q_j)
-        np.multiply(scale, _czt(psi, g.dq**2, -(n // 2), n, -(n // 2), tilt), out=out[lo : lo + batch])
-    return out
-
-
-def _lattice_slices(measured: ModeState, samples: np.ndarray) -> np.ndarray:
-    """:func:`_slices` at the momentum samples p_a, a in ``samples``: one chirp-z
-    spectrum of the untilted input, then per node a roll and one inverse FFT."""
+def _slices(measured: ModeState, samples: np.ndarray, eps: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """meas_tilde(s - q_m) over the grid, one row per node s = p_a + eps[w],
+    for (a, w) in zip(``samples``, ``which``): one chirp-z spectrum of
+    measured * exp(-i eps q) per distinct offset, made in one batch, then per
+    node a roll by 2 (a - n/2) and one inverse FFT."""
     g = measured.grid
     n = g.n_points
     size, kernel, chirp_in, chirp_out = _czt_plan(g.dq**2, -(n // 2), n, n, -(n // 2))
-    buf = np.zeros(size, dtype=np.complex128)
-    np.multiply(as_rep(measured, Rep.POSITION).amplitudes, chirp_in, out=buf[:n])
-    spec = np.fft.fft(buf)
+    spec = np.zeros((len(eps), size), dtype=np.complex128)
+    head = spec[:, :n]
+    head[...] = as_rep(measured, Rep.POSITION).amplitudes
+    if np.any(eps):
+        _apply_linear_phase(head, -eps * g.points[0], -eps * g.dq)
+    np.multiply(head, chirp_in, out=head)
+    np.fft.fft(spec, out=spec)
     scale = g.dq / math.sqrt(2.0 * math.pi)
+    buf = np.empty(size, dtype=np.complex128)
     out = np.empty((len(samples), n), dtype=np.complex128)
-    for row, a in zip(out, samples.tolist()):
+    for row, a, w in zip(out, samples.tolist(), which.tolist()):
         c = 2 * (a - n // 2) % size
-        np.multiply(spec[c:], kernel[: size - c], out=buf[: size - c])
-        np.multiply(spec[:c], kernel[size - c :], out=buf[size - c :])
+        np.multiply(spec[w, c:], kernel[: size - c], out=buf[: size - c])
+        np.multiply(spec[w, :c], kernel[size - c :], out=buf[size - c :])
         np.fft.ifft(buf, out=buf)
         np.multiply(chirp_out, buf[n - 1 : 2 * n - 1], out=row)
         row *= -scale if (a - n // 2) % 2 else scale
@@ -275,13 +269,13 @@ def _condition(
 
     ``kept`` is in position, ``measured`` in either representation.  A row per
     node of ``det.pixel_nodes``: per grid sample in pixel k (sample regime) or
-    per Gauss-Legendre node (sub-grid).  Each row is ``kept`` times a shifted
-    vector of a stack (:class:`PixelWindows`).  On a self-dual grid the node
-    p_a + eps, p_a its nearest sample, leaves kept[m] T[(a + n/2 - m) % n],
-    with T the transform tilted by eps: the stack holds the transforms
+    per Gauss-Legendre node (sub-grid).  Each node is p_a + eps, p_a its
+    nearest sample and eps one of the pixel's distinct offsets, and each row
+    is ``kept`` times a shifted vector of a stack (:class:`PixelWindows`).  On
+    a self-dual grid the node leaves kept[m] T[(a + n/2 - m) % n], with T the
+    transform tilted by eps: the stack holds one transform per offset,
     reversed, R[j] = T[n - 1 - j], read at the shift a + n/2 + 1.  Elsewhere
-    the stack is the nodes' chirp-z slices, unshifted; in the sample regime
-    they come from one chirp-z spectrum, rolled per node.
+    the stack is the nodes' chirp-z slices (:func:`_slices`), unshifted.
     :meth:`ConditionalEnsemble.from_pixel` weighs the rows.
     """
     _require_same_grid(kept, measured)
@@ -289,9 +283,8 @@ def _condition(
     n = g.n_points
     nodes, node_measure = det.pixel_nodes(g, k)
     samples = np.clip(np.rint(nodes / g.dp).astype(np.int64) + n // 2, 0, n - 1)
-    offsets = nodes - g.momentum_points[samples]
+    eps, which = np.unique(nodes - g.momentum_points[samples], return_inverse=True)
     if g.is_self_dual:
-        eps, which = np.unique(offsets, return_inverse=True)
         if np.any(eps):  # one transform of measured * exp(-i eps q) per offset, one batched FFT
             stack = np.empty((len(eps), n), dtype=np.complex128)
             stack[...] = as_rep(measured, Rep.POSITION).amplitudes
@@ -303,7 +296,7 @@ def _condition(
             stack = as_rep(measured, Rep.MOMENTUM).amplitudes[np.newaxis, ::-1].copy()
         windows = PixelWindows(kept.amplitudes, stack, which, (samples + n // 2 + 1) % n)
     else:  # one chirp-z slice per node, unshifted
-        stack = _slices(measured, nodes) if np.any(offsets) else _lattice_slices(measured, samples)
+        stack = _slices(measured, samples, eps, which)
         which = np.arange(len(nodes))
         windows = PixelWindows(kept.amplitudes, stack, which, np.zeros_like(which))
     return ConditionalEnsemble.from_pixel(g, Rep.POSITION, k, node_measure, windows, u)

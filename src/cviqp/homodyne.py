@@ -135,7 +135,8 @@ class DetectorParams:
         """``{k: mass}`` of the pixels of all momentum samples, given one mass per sample."""
         bins = self.bin_of(grid.momentum_points)
         k_lo = int(bins[0])
-        return {k_lo + i: float(v) for i, v in enumerate(np.bincount(bins - k_lo, weights=sample_masses))}
+        v = np.bincount(bins - k_lo, weights=sample_masses)
+        return dict(zip(range(k_lo, k_lo + len(v)), v.tolist()))
 
     def live_pixels(self, grid: QuadratureGrid, sample_masses: np.ndarray) -> range:
         """The pixels from the first to the last momentum sample whose mass exceeds

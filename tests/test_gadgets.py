@@ -413,31 +413,48 @@ class TestGkpErrorCorrect:
         with pytest.raises(GridMismatchError):
             gkp_error_correct(data, params, ShiftNoise.none(), det, fixed_outcome_k=0, ancilla_state=anc)
 
+    @pytest.mark.parametrize("regime", ["sample", "sub_grid"])
     @pytest.mark.parametrize("n, extent, m", [(1024, 64.0, 4), (4096, 256.0, 4), (128, 20.0, 2)])
-    def test_sample_regime_spectrum_matches_the_tilted_slices(self, n, extent, m):
-        # on a general grid a sample-regime pixel rolls one chirp-z spectrum per node;
-        # each node's tilted transform, as the sub-grid regime makes it, is the reference
+    def test_rolled_spectra_match_the_tilted_transforms(self, n, extent, m, regime):
+        # on a general grid a pixel rolls one chirp-z spectrum per distinct node offset;
+        # each node's own transform of the input tilted by exp(-i s q) is the reference
         grid = make_grid(n, extent)
-        det = DetectorParams(eta=SQRT_PI / m)
-        assert det.sample_aligned(grid) and not grid.is_self_dual
+        det = DetectorParams(eta=SQRT_PI / m if regime == "sample" else 1.5 * grid.dp)
+        assert det.sample_aligned(grid) == (regime == "sample") and not grid.is_self_dual
         data = random_smooth_state(grid, seed=1)
         # a position width of 2 dq spreads the outcomes out to the momentum window's edge
         anc = normalized(ModeState(grid, Rep.POSITION, np.exp(-0.5 * (grid.points / (2.0 * grid.dq)) ** 2)))
         live = [k for k, p in outcome_distribution(data, anc, det).items() if p > 1e-12]
         outermost = max(live, key=abs)
         assert abs(outermost) >= 0.75 * abs(det.bin_of(float(grid.momentum_points[0])))
+        psi, dq = anc.amplitudes, grid.dq
         for k in (0, outermost):
             stack = _condition(data, anc, det, k).windows.stack
-            tilted = gadgets._slices(anc, det.pixel_nodes(grid, k)[0])
+            s = det.pixel_nodes(grid, k)[0]
+            tilted = dq / math.sqrt(2.0 * math.pi) * gadgets._czt(
+                psi, dq**2, -(n // 2), n, -(n // 2), tilt=(-s * grid.points[0], -s * dq)
+            )
             assert stack.shape == tilted.shape
             assert np.max(np.abs(stack - tilted)) <= 1e-13 * np.max(np.abs(tilted)), k
 
-    def test_sample_regime_pixel_allocates_little_beyond_its_stack(self):
-        # the README correction's pixel: one spectrum and one padded row, no (nodes, 2n) batch
-        grid = make_grid(1024, 64.0)
-        det = DetectorParams(eta=SQRT_PI / 4)
-        data = displace_q(gkp_plus(GkpParams.tied(0.25), grid), 0.2)
-        anc = gkp_zero(GkpParams.tied(0.25), grid)
+    @pytest.mark.parametrize(
+        "grid, eta, n_nodes, stacks, slack_kib",
+        [
+            (make_grid(1024, 64.0), SQRT_PI / 4, 9, 0, 128),  # the README correction's sample-regime pixel
+            (make_grid(4096, 256.0), 0.01, 8, 2, 256),  # the Fourier gadget's sub-grid pixels
+            (make_grid(4096, 256.0), 0.04, 14, 2, 256),
+        ],
+        ids=["sample_readme", "sub_grid_fg_eta_0.01", "sub_grid_fg_eta_0.04"],
+    )
+    def test_pixel_allocates_little_beyond_its_stack(self, grid, eta, n_nodes, stacks, slack_kib):
+        # one spectrum per distinct offset and one padded row, no (nodes, 2n) chirp-z batch
+        det = DetectorParams(eta=eta)
+        if det.sample_aligned(grid):
+            data = displace_q(gkp_plus(GkpParams.tied(0.25), grid), 0.2)
+            anc = gkp_zero(GkpParams.tied(0.25), grid)
+        else:
+            data = gadgets._squeezed_ancilla(0.1, grid)[1]
+            anc = vacuum(grid)
         _condition(data, anc, det, 0)  # plans the chirp-z transform
         tracemalloc.start()
         try:
@@ -445,25 +462,10 @@ class TestGkpErrorCorrect:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(ens.weights) == 9
-        transient = peak - ens.windows.stack.nbytes
-        assert transient < 128 * 2**10, f"{transient / 2**10:.0f} KiB beyond the stack"
-
-    def test_chirp_z_batches_join_without_a_seam(self, monkeypatch):
-        # sub-grid slices on a general grid come from one chirp-z transform per batch of nodes
-        grid = ORACLE_GRIDS["general"]
-        params = GkpParams.tied(0.35)
-        det = DetectorParams(eta=SQRT_PI / 12)
-        assert not det.sample_aligned(grid)
-        data = displace_q(gkp_plus(params, grid), 0.2)
-        anc = gkp_zero(params, grid)
-        whole = _condition(data, anc, det, 0)
-        monkeypatch.setattr(gadgets, "_CZT_BATCH_POINTS", 5 * 2 * grid.n_points)  # 5 nodes a batch
-        batched = _condition(data, anc, det, 0)
-        assert len(whole.weights) > 2 * 5
-        assert np.array_equal(batched.weights, whole.weights)
-        assert np.array_equal(batched.rows, whole.rows)
-        assert batched.total_probability == whole.total_probability
+        assert len(ens.weights) == n_nodes
+        stack = ens.windows.stack.nbytes
+        transient = peak - stack
+        assert transient < stacks * stack + slack_kib * 2**10, f"{transient / 2**10:.0f} KiB beyond the stack"
 
 
 class TestDefaultAncilla:
