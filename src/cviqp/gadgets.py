@@ -127,11 +127,14 @@ def _apply_shift_noise(
 
 @dataclass
 class GadgetReport:
-    """Outcome, success probability, conditional output, and named diagnostics of a gadget run."""
+    """Outcome, conditional output, and named diagnostics of a gadget run.
+
+    ``success_probability`` is read from the output, ``output.total_probability``:
+    the probability of the run is the mass of the state it returns.
+    """
 
     outcome_k: int
     outcome_value: float
-    success_probability: float
     output: ConditionalEnsemble
     diagnostics: dict[str, float] = field(default_factory=dict)
 
@@ -140,6 +143,10 @@ class GadgetReport:
             raise ValidationError(
                 f"success probability {self.success_probability} outside [0, 1]"
             )
+
+    @property
+    def success_probability(self) -> float:
+        return self.output.total_probability
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +426,6 @@ def fourier_gadget(
     return GadgetReport(
         outcome_k=postselect_k,
         outcome_value=det.bin_center(postselect_k),
-        success_probability=ens.total_probability,
         output=ens,
         diagnostics=diagnostics,
     )
@@ -478,7 +484,6 @@ def gkp_error_correct(
     corrected = _condition(data_pos, anc, det, k, u=correction)
 
     diagnostics: dict[str, float] = {
-        "measured_pk": p_k,
         "applied_correction": correction,
         "ancilla_u2": u2,
         "ancilla_v2": v2,
@@ -493,7 +498,6 @@ def gkp_error_correct(
     return GadgetReport(
         outcome_k=k,
         outcome_value=p_k,
-        success_probability=corrected.total_probability,
         output=corrected,
         diagnostics=diagnostics,
     )
@@ -517,8 +521,12 @@ def error_corrected_fourier(
     correction step is produced inline by a second post-selected Fourier
     gadget acting on |+>.  Mixed intermediate states are carried forward by
     their principal component (the pixel ensembles are nearly pure for the
-    resolutions of interest; purities are reported).  The overall success
-    probability is the product of the three conditioning probabilities.
+    resolutions of interest; purities are reported).  The output is the
+    correction stage's ensemble with each weight multiplied by the two
+    Fourier-stage probabilities: its weights are joint masses over the three
+    stages, so its total, the reported success probability, is the product
+    of the three conditioning probabilities, and its weight-normalized
+    fidelity and purity are the correction stage's.
 
     The syndrome tooth index is a random integer; on a finite-envelope comb
     the far teeth condition slightly differently, so deterministic
@@ -540,9 +548,6 @@ def error_corrected_fourier(
         fixed_outcome_k=fixed_outcome_k,
         ancilla_state=anc0,
     )
-    success = (
-        fg_data.success_probability * fg_anc.success_probability * ec.success_probability
-    )
     diagnostics: dict[str, float] = {
         "probability_fourier_stage": fg_data.success_probability,
         "probability_ancilla_stage": fg_anc.success_probability,
@@ -554,11 +559,13 @@ def error_corrected_fourier(
             "fidelity_vs_ideal_fourier"
         ],
     }
+    out = ec.output
+    stages = fg_data.success_probability * fg_anc.success_probability
+    joint = ConditionalEnsemble(out.grid, out.rep, out.weights * stages, out.windows, out.u)
     return GadgetReport(
         outcome_k=ec.outcome_k,
         outcome_value=ec.outcome_value,
-        success_probability=success,
-        output=ec.output,
+        output=joint,
         diagnostics=diagnostics,
     )
 
@@ -613,16 +620,6 @@ def _hadamard_branches(psi: QubitState) -> tuple[tuple[float, np.ndarray], ...]:
     return tuple(branches)
 
 
-def _hadamard_outcome(p0: float, postselect: int | None, seed: int | None) -> int:
-    """Outcome h: forced by ``postselect`` (+1 -> 0, -1 -> 1), else 0 when a seeded uniform draw is below p0."""
-    if postselect is not None:
-        if postselect not in (1, -1):
-            raise ValidationError("postselect must be +1 or -1")
-        return 0 if postselect == 1 else 1
-    u = float(np.random.default_rng(seed).random())
-    return 0 if u < p0 else 1
-
-
 def dv_hadamard_gadget(
     psi: QubitState,
     postselect: int | None = None,
@@ -632,15 +629,14 @@ def dv_hadamard_gadget(
 
     Returns (output qubit, h, outcome probability).  The output equals
     X^h H |psi> exactly; the probability of either outcome is 1/2 regardless
-    of the input.  ``postselect`` forces outcome +1 or -1; otherwise the
-    outcome is sampled with the given seed.
+    of the input.  The outcome is run 0 of ``dv_hadamard_trials(psi, 1,
+    postselect, seed)``: ``postselect`` forces +1 or -1, otherwise it is
+    drawn with the seed, which must lie below 2**128.
     """
-    branches = _hadamard_branches(psi)
-    h = _hadamard_outcome(branches[0][0], postselect, seed)
-    prob, out = branches[h]
-    if prob <= 0.0:
-        raise NumericalError("conditioning outcome has zero probability")
-    return QubitState(1, out / math.sqrt(prob)), h, prob
+    hs, probs = dv_hadamard_trials(psi, 1, postselect, seed)
+    h = int(hs[0])
+    prob = float(probs[0])
+    return QubitState(1, _hadamard_branches(psi)[h][1] / math.sqrt(prob)), h, prob
 
 
 def dv_hadamard_trials(
@@ -652,18 +648,20 @@ def dv_hadamard_trials(
     """Outcomes h (int64) and their probabilities (float64) of ``trials``
     Hadamard-gadget runs on psi, one array entry per run.
 
-    Run t is ``dv_hadamard_gadget(psi, postselect, seed + t)``, with the two
-    branches computed once for all runs and the seeded draws batched: each is
-    bitwise equal to ``np.random.default_rng(seed + t).random()``, so seeds
-    must stay below 2**128 (see ``seeding._seeded_uniforms``).  With ``seed``
-    None the runs share one unseeded generator.
+    ``postselect`` (+1 -> h = 0, -1 -> h = 1) forces every outcome.  Otherwise
+    run t has h = 0 when ``np.random.default_rng(seed + t).random()`` falls
+    below the probability of h = 0; the draws are batched bit for bit
+    (``seeding._seeded_uniforms``), so seeds must stay below 2**128.  With
+    ``seed`` None the runs share one unseeded generator.
     """
     if trials < 0:
         raise ValidationError(f"trials must be non-negative, got {trials}")
     branches = _hadamard_branches(psi)
     p0 = branches[0][0]
     if postselect is not None:
-        hs = np.full(trials, _hadamard_outcome(p0, postselect, None), dtype=np.int64)
+        if postselect not in (1, -1):
+            raise ValidationError("postselect must be +1 or -1")
+        hs = np.full(trials, (1 - postselect) // 2, dtype=np.int64)
     else:
         u = np.random.default_rng().random(trials) if seed is None else _seeded_uniforms(seed, trials)
         hs = (u >= p0).astype(np.int64)

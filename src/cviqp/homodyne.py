@@ -257,8 +257,9 @@ class ConditionalEnsemble:
     a kept mode of ones.  :func:`ensemble_fidelity` reads the factors, a dot per row.
     ``rows`` is built from them on the first read, normalized, n complex
     numbers per weight (45 x 65536 of them, 45 MiB, for the sampled pixel of a
-    GKP correction on 65536 points), and kept: :meth:`purity`,
-    :meth:`principal_component` and ``components`` read it.
+    GKP correction on 65536 points), and kept: ``components`` reads it, and so
+    does the one spectrum that :meth:`purity` and :meth:`principal_component`
+    read, the eigenpairs of the weighted Gram matrix, computed once.
 
     ``u`` is a position shift exp(-i u p) still pending on every row (the GKP
     correction): the ensemble is the rows displaced by ``u``.  The readers
@@ -339,28 +340,24 @@ class ConditionalEnsemble:
         return shifted
 
     @functools.cached_property
-    def _overlaps(self) -> np.ndarray:
-        """Unscaled Gram matrix sum_j conj(a_ij) a_kj of the rows (shift-invariant), computed once."""
-        return np.vecdot(self.rows[:, np.newaxis], self.rows[np.newaxis])
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs (ascending) of the weighted Gram matrix
+        sqrt(w_i w_j) <row_i|row_j> (shift-invariant), computed once: its
+        eigenvalues are the density operator's non-zero ones."""
+        w = self.weights
+        overlaps = np.vecdot(self.rows[:, np.newaxis], self.rows[np.newaxis])
+        return np.linalg.eigh(np.sqrt(np.outer(w, w)) * overlaps * self.grid.rep_spacing(self.rep))
 
     def principal_component(self) -> ModeState:
-        """Top eigenvector of the ensemble density operator (via the small Gram matrix)."""
-        w = self.weights
-        if len(w) == 1:
-            top = ModeState(self.grid, self.rep, self.rows[0])
-        else:
-            spacing = self.grid.rep_spacing(self.rep)
-            gram = (np.sqrt(np.outer(w, w))) * self._overlaps * spacing
-            evals, evecs = np.linalg.eigh(gram)
-            coeff = np.sqrt(w) * evecs[:, -1]
-            top = normalized(ModeState(self.grid, self.rep, coeff @ self.rows))
+        """Top eigenvector of the ensemble density operator, from :attr:`_spectrum`."""
+        coeff = np.sqrt(self.weights) * self._spectrum[1][:, -1]
+        top = normalized(ModeState(self.grid, self.rep, coeff @ self.rows))
         return top if self.u == 0.0 else displace_q(top, self.u)
 
     def purity(self) -> float:
-        """Tr[rho^2] / (Tr rho)^2 of the ensemble density operator."""
-        w = self.weights
-        overlaps = np.abs(self._overlaps * self.grid.rep_spacing(self.rep)) ** 2
-        return float(w @ overlaps @ w / np.sum(w) ** 2)
+        """Tr[rho^2] / (Tr rho)^2 of the ensemble density operator: sum lambda^2 / (sum w)^2."""
+        evals = self._spectrum[0]
+        return float(evals @ evals / np.sum(self.weights) ** 2)
 
 
 def _measured_axis_density(state: TwoModeState, mode: int) -> np.ndarray:

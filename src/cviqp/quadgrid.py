@@ -61,12 +61,8 @@ class QuadratureGrid:
             raise ValidationError(f"extent must be positive, got {self.extent}")
 
     @property
-    def spacing(self) -> float:
-        return self.extent / self.n_points
-
-    @property
     def dq(self) -> float:
-        return self.spacing
+        return self.extent / self.n_points
 
     @property
     def dp(self) -> float:

@@ -118,6 +118,24 @@ class TestFourierGadgetCommand:
         assert rc == 3
         assert not out.exists()
 
+    def test_gkp_input_matches_the_gadget(self, tmp_path):
+        # the default 4096-point, extent-256 grid
+        out = tmp_path / "plus.csv"
+        rc = main(["fourier-gadget", "--input", "plus", "--delta", "0.25", "--sigma", "0.1", "--eta", "0.01",
+                   "--out", str(out)])
+        assert rc == 0
+        _config, header, rows = read_rows(out)
+        grid = cviqp.make_grid(4096, 256.0)
+        psi = cviqp.gkp_plus(cviqp.GkpParams.tied(0.25), grid)
+        rep = cviqp.fourier_gadget(psi, 0.1, cviqp.DetectorParams(eta=0.01))
+        assert rows[0][header.index("success_probability")] == _fmt(rep.success_probability)
+
+    def test_gkp_input_without_delta_exits_2_without_file(self, tmp_path):
+        out = tmp_path / "never.csv"
+        rc = main(["fourier-gadget", "--input", "plus", "--sigma", "0.1", "--eta", "0.01", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

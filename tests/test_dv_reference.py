@@ -58,6 +58,25 @@ class TestHadamardGadget:
         hs = [dv_hadamard_gadget(psi, seed=s)[1] for s in range(2000)]
         assert abs(np.mean(hs) - 0.5) < 0.05
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 1, 2**128 - 1])
+    def test_seeded_run_is_run_0_of_the_trials(self, seed):
+        psi = qubit_state(0.3, 0.9539392014169456)
+        out, h, prob = dv_hadamard_gadget(psi, seed=seed)
+        hs, probs = dv_hadamard_trials(psi, 1, seed=seed)
+        assert (h, prob) == (int(hs[0]), float(probs[0]))
+        expected = np.linalg.matrix_power(X, h) @ H @ psi.amplitudes
+        assert state_fidelity(out.amplitudes, expected / np.linalg.norm(expected)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seeds_outside_0_to_2_128_rejected(self, seed):
+        with pytest.raises(ValidationError, match="2\\*\\*128"):
+            dv_hadamard_gadget(qubit_state(0.3, 0.9539392014169456), seed=seed)
+
+    @pytest.mark.parametrize("postselect", [0, 2])
+    def test_invalid_postselect_rejected(self, postselect):
+        with pytest.raises(ValidationError, match="postselect"):
+            dv_hadamard_gadget(qubit_state(1.0, 0.0), postselect=postselect)
+
     def test_multi_qubit_input_rejected(self):
         with pytest.raises(ValidationError):
             dv_hadamard_gadget(QubitState(2, np.full(4, 0.5)), postselect=1)

@@ -684,6 +684,22 @@ class TestErrorCorrectedFourier:
         )
         assert rep.success_probability == pytest.approx(product, rel=1e-6)
 
+    def test_output_mass_is_the_pipeline_probability(self, gc_grid):
+        # the output's weights are joint masses over the three stages; its
+        # weight-normalized fidelity stays the correction stage's
+        params = GkpParams.tied(0.15)
+        psi = gkp_plus(params, gc_grid)
+        rep = error_corrected_fourier(psi, params, 0.15, DetectorParams(eta=SQRT_PI / 16), seed=6)
+        d = rep.diagnostics
+        product = d["probability_fourier_stage"] * d["probability_ancilla_stage"] * d["probability_correction_stage"]
+        assert rep.success_probability == rep.output.total_probability
+        assert rep.output.total_probability == pytest.approx(product, rel=1e-12)
+        assert ensemble_fidelity(rep.output, apply_fourier(psi)) == pytest.approx(
+            d["fidelity_vs_ideal_fourier"], rel=1e-14
+        )
+        with pytest.raises(AttributeError):
+            rep.success_probability = 0.5
+
     def test_fidelity_improves_with_all_resources(self, gc_grid):
         # resource-improvement trend of the full pipeline (modal syndrome);
         # measured endpoints 0.8370 (0.15 resources) -> 0.8856 (0.1/0.03 resources)

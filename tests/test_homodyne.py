@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cviqp.homodyne import (
     ConditionalEnsemble,
     DetectorParams,
     PixelWindows,
+    TailMassWarning,
     bin_probabilities,
     ensemble_fidelity,
     gkp_readout,
@@ -130,6 +132,17 @@ class TestBinProbabilities:
         pa = bin_probabilities(st, 1, det_a, k_range=[0], warn_tail=False)[0]
         pb = bin_probabilities(st, 1, det_b, k_range=[0], warn_tail=False)[0]
         assert pa == pytest.approx(2.0 * pb, rel=5e-3)
+
+
+    @pytest.mark.parametrize("eta", [0.5, 0.02], ids=["sample", "sub_grid"])
+    def test_range_missing_mass_warns_unless_told_not_to(self, grid_small, eta):
+        st = tensor(random_smooth_state(grid_small, seed=3), random_smooth_state(grid_small, seed=4))
+        det = DetectorParams(eta=eta)
+        with pytest.warns(TailMassWarning, match="miss"):
+            bin_probabilities(st, 1, det, k_range=[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bin_probabilities(st, 1, det, k_range=[0], warn_tail=False)
 
 
 class TestProjectBin:
@@ -265,6 +278,26 @@ class TestConditionalEnsemble:
             ens.weights[0] = 0.0
         with pytest.raises(ValueError):
             ens.components[0, 0] = 0.0
+
+    def test_attributes_are_read_only(self, grid_small):
+        ens = ConditionalEnsemble(grid_small, Rep.POSITION, [0.25, 0.75], np.ones((2, grid_small.n_points)))
+        with pytest.raises(AttributeError):
+            ens.u = 1.0
+        with pytest.raises(AttributeError):
+            ens.weights = np.ones(2)
+        assert ens.u == 0.0 and ens.weights.tolist() == [0.25, 0.75]
+
+    def test_purity_and_principal_component_match_the_density_matrix(self, grid_small):
+        # oracle: the n x n density matrix sum_i w_i |row_i><row_i| with measure dq
+        a = random_smooth_state(grid_small, seed=5)
+        b = random_smooth_state(grid_small, seed=6)
+        ens = project_bin(tensor(a, b), 1, 0, DetectorParams(eta=0.5))
+        assert len(ens.weights) > 1
+        rho = (ens.rows.T * ens.weights) @ ens.rows.conj() * grid_small.dq
+        assert ens.purity() == pytest.approx(np.sum(np.abs(rho) ** 2) / np.sum(ens.weights) ** 2, abs=1e-13)
+        top = np.linalg.eigh(rho)[1][:, -1]
+        overlap = np.vdot(top, ens.principal_component().amplitudes) * math.sqrt(grid_small.dq)
+        assert abs(overlap) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_caller_arrays_stay_writeable(self, grid_small):
         # the ensemble freezes copies it owns, not the arrays it was given
