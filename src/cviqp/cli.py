@@ -2,14 +2,16 @@
 
 Subcommands: ``fourier-gadget``, ``error-correct``, ``scaling``, ``dv``,
 ``readout``.  Each parameter is one flag, declared in ``build_parser`` with its
-type, choices, default and required-ness.  ``--config`` names a JSON object of
-the same flags keyed by destination (``grid_points``); its entries are parsed
-ahead of the command-line flags in one parse, so flags override them and they
-pass the same checks (a numeric entry must also be a JSON number).  Results are
-CSV files whose first line is a ``#``-prefixed JSON dump of the parsed
-parameters, so identical parameters with identical seeds produce byte-identical
-files, from flags or from a file.  Randomized commands require ``--seed``.
-Commands hand ``_write_csv`` their results by column.
+type, choices, default and required-ness.  Each call builds only the parser of
+the subcommand its first argument names (all of them, and the same help and
+error text, when it names none).  ``--config`` names a JSON object of the same
+flags keyed by destination (``grid_points``); its entries are parsed ahead of
+the command-line flags in one parse, so flags override them and they pass the
+same checks (a numeric entry must also be a JSON number).  Results are CSV
+files whose first line is a ``#``-prefixed JSON dump of the parsed parameters,
+so identical parameters with identical seeds produce byte-identical files, from
+flags or from a file.  Randomized commands require ``--seed``.  Commands hand
+``_write_csv`` their results by column.
 
 Exit codes: 0 success (and ``--help``), 2 validation error (no result file is
 written), 3 numerical failure (zero-mass post-selection bin, failed root-find).
@@ -21,7 +23,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -48,6 +50,7 @@ from .seeding import require_seeds
 from .states import GkpParams, gkp_minus, gkp_one, gkp_plus, gkp_zero, squeezed_momentum
 
 _GKP_STATES = {"plus": gkp_plus, "minus": gkp_minus, "zero": gkp_zero, "one": gkp_one}
+_COMMANDS = ("fourier-gadget", "error-correct", "scaling", "dv", "readout")
 
 
 class _CommaList(str):
@@ -335,15 +338,17 @@ def cmd_readout(args: argparse.Namespace) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Every parameter of every subcommand, with its type, choices, default and whether it is required."""
+def build_parser(commands: Collection[str] = _COMMANDS) -> argparse.ArgumentParser:
+    """Every parameter of the named subcommands (all by default): type, choices, default, required-ness."""
     parser = argparse.ArgumentParser(
         prog="cviqp",
         description="CV-IQP gadget experiments: post-selected Fourier gadgets, GKP error "
         "correction, squeezing scaling tables, GKP readout, and DV reference circuits.",
         exit_on_error=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # fewer subcommands still name them all in the usage; the full parser's errors name "command"
+    metavar = None if set(_COMMANDS) <= set(commands) else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     def command(name: str, func, out_required: bool = True, **kwargs) -> argparse.ArgumentParser:
         p = sub.add_parser(name, exit_on_error=False, **kwargs)
@@ -356,86 +361,91 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-points", dest="grid_points", type=int, default=points, help="grid size (power of two)")
         p.add_argument("--extent", type=float, default=extent, help="grid extent L")
 
-    p = command(
-        "fourier-gadget",
-        cmd_fourier_gadget,
-        help="post-selected Fourier gadget sweep over sigma and eta",
-        description="Writes one record per (sigma, eta): pixel probability vs the "
-        "2*eta*sigma/sqrt(pi) leading order, and output fidelities.",
-    )
-    grid(p, 4096, 256.0)
-    p.add_argument("--sigma", type=_floats, required=True, help="ancilla squeezing (comma list allowed)")
-    p.add_argument("--eta", type=_floats, required=True, help="detector half-width (comma list allowed)")
-    p.add_argument("--input", choices=["vacuum", *_GKP_STATES], default="vacuum", help="input state")
-    p.add_argument("--delta", type=float, help="GKP spike width for GKP inputs")
-    p.add_argument("--delta-env", dest="delta_env", type=float, help="GKP envelope parameter")
-    p.add_argument("--postselect-k", dest="postselect_k", type=int, default=0, help="post-selected pixel index")
+    if "fourier-gadget" in commands:
+        p = command(
+            "fourier-gadget",
+            cmd_fourier_gadget,
+            help="post-selected Fourier gadget sweep over sigma and eta",
+            description="Writes one record per (sigma, eta): pixel probability vs the "
+            "2*eta*sigma/sqrt(pi) leading order, and output fidelities.",
+        )
+        grid(p, 4096, 256.0)
+        p.add_argument("--sigma", type=_floats, required=True, help="ancilla squeezing (comma list allowed)")
+        p.add_argument("--eta", type=_floats, required=True, help="detector half-width (comma list allowed)")
+        p.add_argument("--input", choices=["vacuum", *_GKP_STATES], default="vacuum", help="input state")
+        p.add_argument("--delta", type=float, help="GKP spike width for GKP inputs")
+        p.add_argument("--delta-env", dest="delta_env", type=float, help="GKP envelope parameter")
+        p.add_argument("--postselect-k", dest="postselect_k", type=int, default=0, help="post-selected pixel index")
 
-    p = command(
-        "error-correct",
-        cmd_error_correct,
-        help="GKP error-correction trials on a displaced |+> comb",
-        description="Displaces a clean |+> comb by u1, runs the syndrome measurement with "
-        "seeded outcomes, and records correction, net offset, threshold and "
-        "miscorrection flags, and pre/post fidelities.",
-    )
-    grid(p, 4096, 96.0)
-    p.add_argument("--seed", type=_seed, required=True, help="base seed; trial t uses seed + t")
-    p.add_argument("--delta", type=float, required=True, help="GKP spike width (data and ancilla)")
-    p.add_argument("--delta-env", dest="delta_env", type=float, help="GKP envelope parameter")
-    p.add_argument("--eta", type=float, required=True, help="detector half-width (sqrt(pi)/eta must be integer)")
-    p.add_argument("--u1", type=float, default=0.2, help="data position displacement")
-    p.add_argument("--trials", type=_trials, default=1, help="number of seeded outcome draws")
+    if "error-correct" in commands:
+        p = command(
+            "error-correct",
+            cmd_error_correct,
+            help="GKP error-correction trials on a displaced |+> comb",
+            description="Displaces a clean |+> comb by u1, runs the syndrome measurement with "
+            "seeded outcomes, and records correction, net offset, threshold and "
+            "miscorrection flags, and pre/post fidelities.",
+        )
+        grid(p, 4096, 96.0)
+        p.add_argument("--seed", type=_seed, required=True, help="base seed; trial t uses seed + t")
+        p.add_argument("--delta", type=float, required=True, help="GKP spike width (data and ancilla)")
+        p.add_argument("--delta-env", dest="delta_env", type=float, help="GKP envelope parameter")
+        p.add_argument("--eta", type=float, required=True, help="detector half-width (sqrt(pi)/eta must be integer)")
+        p.add_argument("--u1", type=float, default=0.2, help="data position displacement")
+        p.add_argument("--trials", type=_trials, default=1, help="number of seeded outcome draws")
 
-    p = command(
-        "scaling",
-        cmd_scaling,
-        out_required=False,
-        help="squeezing scaling table and fault-tolerance root-find",
-        description="Prints n -> (minimum squeezing dB, mean-photon lower bound, Pe bound); "
-        "--solve-ft-error finds sigma with the stated error per Fourier transform.",
-    )
-    p.add_argument("--n", type=_ints, default="1,10,100,1000", help="circuit sizes (comma list)")
-    p.add_argument("--l", type=int, help="number of Fourier gadgets for the composed probability")
-    p.add_argument("--eta", type=float, help="detector half-width for the composed probability")
-    p.add_argument("--sigma", type=float, help="squeezing for the composed probability")
-    p.add_argument(
-        "--solve-ft-error",
-        dest="solve_ft_error",
-        type=_probability,
-        help="target error probability per Fourier transform",
-    )
+    if "scaling" in commands:
+        p = command(
+            "scaling",
+            cmd_scaling,
+            out_required=False,
+            help="squeezing scaling table and fault-tolerance root-find",
+            description="Prints n -> (minimum squeezing dB, mean-photon lower bound, Pe bound); "
+            "--solve-ft-error finds sigma with the stated error per Fourier transform.",
+        )
+        p.add_argument("--n", type=_ints, default="1,10,100,1000", help="circuit sizes (comma list)")
+        p.add_argument("--l", type=int, help="number of Fourier gadgets for the composed probability")
+        p.add_argument("--eta", type=float, help="detector half-width for the composed probability")
+        p.add_argument("--sigma", type=float, help="squeezing for the composed probability")
+        p.add_argument(
+            "--solve-ft-error",
+            dest="solve_ft_error",
+            type=_probability,
+            help="target error probability per Fourier transform",
+        )
 
-    p = command(
-        "dv",
-        cmd_dv,
-        help="DV reference simulations (Hadamard gadget, IQP circuits)",
-        description="hadamard-gadget mode records (trial, h, probability); iqp mode takes "
-        "the circuit from --iqp and writes the outcome distribution.",
-    )
-    p.add_argument("--seed", type=_seed, help="base seed; trial t uses seed + t (sampled runs require it)")
-    p.add_argument("--mode", choices=["hadamard-gadget", "iqp"], default="hadamard-gadget", help="what to simulate")
-    p.add_argument("--trials", type=_trials, default=1, help="number of seeded gadget runs")
-    p.add_argument("--postselect", choices=["+", "-", "none"], help="gadget post-selection")
-    p.add_argument(
-        "--iqp",
-        type=json.loads,
-        help='iqp circuit as JSON: {"n_qubits": int, "gates": [[[qubits], theta], ...], '
-        '"postselect": [[qubit, outcome], ...]}',
-    )
+    if "dv" in commands:
+        p = command(
+            "dv",
+            cmd_dv,
+            help="DV reference simulations (Hadamard gadget, IQP circuits)",
+            description="hadamard-gadget mode records (trial, h, probability); iqp mode takes "
+            "the circuit from --iqp and writes the outcome distribution.",
+        )
+        p.add_argument("--seed", type=_seed, help="base seed; trial t uses seed + t (sampled runs require it)")
+        p.add_argument("--mode", choices=["hadamard-gadget", "iqp"], default="hadamard-gadget", help="what to simulate")
+        p.add_argument("--trials", type=_trials, default=1, help="number of seeded gadget runs")
+        p.add_argument("--postselect", choices=["+", "-", "none"], help="gadget post-selection")
+        p.add_argument(
+            "--iqp",
+            type=json.loads,
+            help='iqp circuit as JSON: {"n_qubits": int, "gates": [[[qubits], theta], ...], '
+            '"postselect": [[qubit, outcome], ...]}',
+        )
 
-    p = command(
-        "readout",
-        cmd_readout,
-        help="sqrt(pi)-window GKP readout masses vs the misidentification bound",
-        description="Writes (p_plus, p_minus, p_error) for GKP states over a delta sweep, "
-        "next to the closed-form bound.",
-    )
-    grid(p, 8192, 170.0)
-    p.add_argument("--delta", type=_floats, required=True, help="GKP spike width (comma list allowed)")
-    p.add_argument("--delta-env", dest="delta_env", type=float, help="GKP envelope parameter")
-    p.add_argument("--eta", type=float, required=True, help="detector half-width (sqrt(pi)/eta must be integer)")
-    p.add_argument("--state", choices=list(_GKP_STATES), default="minus", help="which comb to read out")
+    if "readout" in commands:
+        p = command(
+            "readout",
+            cmd_readout,
+            help="sqrt(pi)-window GKP readout masses vs the misidentification bound",
+            description="Writes (p_plus, p_minus, p_error) for GKP states over a delta sweep, "
+            "next to the closed-form bound.",
+        )
+        grid(p, 8192, 170.0)
+        p.add_argument("--delta", type=_floats, required=True, help="GKP spike width (comma list allowed)")
+        p.add_argument("--delta-env", dest="delta_env", type=float, help="GKP envelope parameter")
+        p.add_argument("--eta", type=float, required=True, help="detector half-width (sqrt(pi)/eta must be integer)")
+        p.add_argument("--state", choices=list(_GKP_STATES), default="minus", help="which comb to read out")
 
     return parser
 
@@ -470,7 +480,7 @@ def _config_flags(sub: argparse.ArgumentParser, path: str) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     (commands,) = (action.choices for action in parser._actions if action.dest == "command")
     try:
         if argv and argv[0] in commands:

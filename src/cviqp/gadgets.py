@@ -456,21 +456,23 @@ def gkp_error_correct(
     whether the recovery threshold |u1 - v2| <= sqrt(pi)/2 - eta held and
     whether the applied correction left a logical (+-sqrt(pi)) offset.
 
-    Fixed outcomes win over the seeded sampler.  The returned ensemble is the
+    Fixed outcomes win over the seeded sampler, and seeds are made only when
+    something is drawn or a seed is given.  The returned ensemble is the
     corrected data mode, with the correction pending as its ``u``; the
     measured mode is gone.
     """
     det.require_gkp_compatible()
-    seq = np.random.SeedSequence(seed)
-    noise_seed, outcome_seed = (int(s) for s in seq.generate_state(2))
-
     if ancilla_state is None:  # a reused comb warns as a fresh build would
         ancilla_state = _default_ancilla(ancilla_params, data.grid)
         check_edge_support(ancilla_state)
     # on a self-dual grid the ancilla goes in momentum: one transform serves the
     # outcome masses and the pixel windows
     anc_rep = Rep.MOMENTUM if ancilla_state.grid.is_self_dual else Rep.POSITION
-    anc, (u2, v2) = _apply_shift_noise(ancilla_state, ancilla_noise, noise_seed, anc_rep)
+    if seed is not None or fixed_outcome_k is None or ancilla_noise != ShiftNoise.none():
+        noise_seed, outcome_seed = np.random.SeedSequence(seed).generate_state(2).tolist()
+        anc, (u2, v2) = _apply_shift_noise(ancilla_state, ancilla_noise, noise_seed, anc_rep)
+    else:  # bit for bit the zero draw: N(0, 0) reads +0.0
+        anc, (u2, v2) = as_rep(ancilla_state, anc_rep), (0.0, 0.0)
     data_pos = as_rep(data, Rep.POSITION)
 
     if fixed_outcome_k is not None:

@@ -37,7 +37,6 @@ two-mode path is the brute-force oracle the tests compare that engine with.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import warnings
@@ -116,8 +115,17 @@ class DetectorParams:
         return self.eta >= 2.0 * grid.dp
 
     def pixel_samples(self, grid: QuadratureGrid, k: int) -> slice:
-        """The momentum samples that :meth:`bin_of` assigns to pixel k, by bisection: bin_of is monotone."""
-        return slice(*(bisect.bisect_left(grid.momentum_points, j, key=self.bin_of) for j in (k, k + 1)))
+        """The momentum samples that :meth:`bin_of` assigns to pixel k: each end is guessed from the
+        pixel edge, off by rounding only, then stepped with bin_of (monotone) to the pixel boundary."""
+        p, n, ends = grid.momentum_points, grid.n_points, []
+        for j in (k, k + 1):
+            i = math.ceil(min(max((self.bin_interval(j)[0] - p[0]) / grid.dp, 0.0), n))
+            while i > 0 and self.bin_of(p[i - 1]) >= j:
+                i -= 1
+            while i < n and self.bin_of(p[i]) < j:
+                i += 1
+            ends.append(i)
+        return slice(*ends)
 
     def pixel_nodes(self, grid: QuadratureGrid, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(nodes, measures) of pixel k: its samples, each of measure dp, in the sample

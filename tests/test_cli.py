@@ -645,6 +645,34 @@ class TestMalformedInput:
         assert main(["dv", "--help"]) == 0
         assert "--mode" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", cli._COMMANDS)
+    def test_help_is_the_full_parsers(self, command, capsys, monkeypatch):
+        # main builds only the named subcommand's parser; its help is the full parser's
+        (commands,) = (action.choices for action in cli.build_parser()._actions if action.dest == "command")
+        built, full = [], cli.build_parser
+
+        def build(names):
+            built.append(list(names))
+            return full(names)
+
+        monkeypatch.setattr(cli, "build_parser", build)
+        assert main([command, "--help"]) == 0
+        assert built == [[command]]
+        assert capsys.readouterr().out == commands[command].format_help()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [([], 2), (["--help"], 0), (["bogus"], 2), (["error-correct", "--bogus"], 2), (["scaling", "--bogus"], 2)],
+        ids=["none", "help", "unknown_command", "missing_flags", "unknown_flag"],
+    )
+    def test_usage_text_is_the_full_parsers(self, argv, code, capsys, monkeypatch):
+        assert main(argv) == code
+        text = capsys.readouterr()
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda commands: full())
+        assert main(argv) == code
+        assert capsys.readouterr() == text
+
 
 class TestFaultToleranceRoot:
     @pytest.mark.parametrize("target", ["-1", "0", "1", "1.5", "nan"])
@@ -670,12 +698,15 @@ class TestFaultToleranceRoot:
         assert rc == 3
         assert not out.exists()
 
-    def test_runs_without_scipy(self):
-        # a fresh interpreter, so modules imported by the test suite do not count
+    def test_runs_without_scipy(self, tmp_path):
+        # a fresh interpreter, so modules imported by the test suite do not count; the README
+        # error-correct conditions on fixed outcomes without noise, so it sets up no generator
+        error_correct = [*README_COMMANDS["readme_error_correct.csv"], "--out", str(tmp_path / "ec.csv")]
         code = (
             "import sys, cviqp.cli\n"
-            "cviqp.cli.main(['scaling', '--n', '1,10', '--solve-ft-error', '1e-6'])\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+            f"assert cviqp.cli.main({error_correct!r}) == 0\n"
+            "assert cviqp.cli.main(['scaling', '--n', '1,10', '--solve-ft-error', '1e-6']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(cviqp.__file__).parents[1]))
         result = subprocess.run(

@@ -358,6 +358,38 @@ class TestGkpErrorCorrect:
             assert p == pytest.approx(rep.output.total_probability, rel=1e-12)
             assert p == pytest.approx(dist[k], rel=1e-9)
 
+    @pytest.mark.parametrize("grid_name", sorted(ORACLE_GRIDS))
+    def test_fixed_noiseless_outcome_makes_no_generator(self, grid_name, monkeypatch):
+        # nothing is drawn, so no SeedSequence reads OS entropy and no generator is built;
+        # the result is bit for bit that of a seeded call, whose draws are N(0, 0) = +0.0
+        grid = ORACLE_GRIDS[grid_name]
+        params = GkpParams.tied(0.35)
+        det = DetectorParams(eta=SQRT_PI / 4)
+        data, anc = displace_q(gkp_plus(params, grid), 0.2), gkp_zero(params, grid)
+        clean = gkp_plus(params, grid)
+        kwargs = dict(fixed_outcome_k=1, known_data_shift=(0.2, 0.0), ancilla_state=anc)
+        seeded = gkp_error_correct(data, params, ShiftNoise.none(), det, seed=0, **kwargs)
+
+        def refuse(*args, **kw):
+            raise AssertionError("a generator was set up")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "SeedSequence", refuse)
+            patch.setattr(np.random, "default_rng", refuse)
+            rep = gkp_error_correct(data, params, ShiftNoise.none(), det, **kwargs)
+            fid = ensemble_fidelity(rep.output, clean)
+        assert (rep.outcome_k, rep.outcome_value) == (seeded.outcome_k, seeded.outcome_value)
+        # float.hex tells +0.0 from -0.0
+        assert {key: float(v).hex() for key, v in rep.diagnostics.items()} == {
+            key: float(v).hex() for key, v in seeded.diagnostics.items()
+        }
+        assert float(rep.diagnostics["ancilla_u2"]).hex() == float(rep.diagnostics["ancilla_v2"]).hex() == "0x0.0p+0"
+        assert np.array_equal(rep.output.weights, seeded.output.weights)
+        assert rep.output.total_probability == seeded.output.total_probability
+        assert np.float64(fid).tobytes() == np.float64(ensemble_fidelity(seeded.output, clean)).tobytes()
+        with pytest.raises(ValueError):  # a given seed is still checked
+            gkp_error_correct(data, params, ShiftNoise.none(), det, seed=-1, **kwargs)
+
     def test_noise_replacement(self):
         # data position noise (std 0.3) is replaced by ancilla-plus-resolution
         # noise; needs an ancilla whose intrinsic teeth are narrow next to s_a

@@ -66,6 +66,18 @@ class TestDetectorParams:
         with pytest.raises(ValidationError):
             DetectorParams(eta=eta)
 
+    @pytest.mark.parametrize("n", [1024, 65536])
+    def test_pixel_samples_read_a_few_bins_whatever_the_grid_size(self, n, monkeypatch):
+        # each end is stepped from a guess at the pixel edge, not searched for
+        grid = make_grid(n, 64.0)
+        det = DetectorParams(eta=SQRT_PI / 4)
+        calls, bin_of = [], DetectorParams.bin_of
+        monkeypatch.setattr(DetectorParams, "bin_of", lambda self, p: calls.append(p) or bin_of(self, p))
+        for k in (-1000, -3, 0, 1, 7, 1000):
+            calls.clear()
+            det.pixel_samples(grid, k)
+            assert len(calls) <= 6
+
 
 class TestBinProbabilities:
     def test_squeezed_mode_concentrated_in_central_bin(self):
