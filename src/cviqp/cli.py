@@ -23,7 +23,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .states import GkpParams, gkp_minus, gkp_one, gkp_plus, gkp_zero, squeezed_
 
 _GKP_STATES = {"plus": gkp_plus, "minus": gkp_minus, "zero": gkp_zero, "one": gkp_one}
 _COMMANDS = ("fourier-gadget", "error-correct", "scaling", "dv", "readout")
+_CSV_BLOCK_ROWS = 4096  # rows formatted and written per pass: the text in memory stays a fixed size
 
 
 class _CommaList(str):
@@ -121,24 +122,34 @@ def _fmt(x) -> str:
 
 def _column_cells(column: Iterable) -> list[str]:
     """``_fmt`` of every cell of a column; a numeric array formats each distinct bit
-    pattern once, so -0.0 and 0.0 stay distinct."""
+    pattern once, so -0.0 and 0.0 stay distinct, and a range's ints go straight to ``str``."""
     if isinstance(column, np.ndarray) and column.dtype.kind in "biuf" and column.itemsize in (1, 2, 4, 8):
         bits = np.ascontiguousarray(column).view(f"u{column.itemsize}")
         _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
         texts = list(map(_fmt, column[first].tolist()))
         return list(map(texts.__getitem__, inverse.tolist()))
-    return list(map(_fmt, column))
+    return list(map(str if isinstance(column, range) else _fmt, column))
 
 
-def _write_csv(args: argparse.Namespace, header: list[str], columns: Iterable[Iterable], **results) -> None:
+def _write_csv(args: argparse.Namespace, header: list[str], columns: Iterable[Sequence], **results) -> None:
+    """The header lines, then the rows of ``columns`` (sequences, cut to the shortest),
+    ``_CSV_BLOCK_ROWS`` at a time; a failed write leaves no file."""
     # the header records the experiment, not where it reads and writes: identical
     # parameters and seeds must produce byte-identical files
     config = {k: v for k, v in vars(args).items() if k not in ("func", "command", "config", "out") and v is not None}
-    lines = ["# " + json.dumps({**config, **results}, sort_keys=True), ",".join(header)]
-    lines += map(",".join, zip(*map(_column_cells, columns)))
+    columns = list(columns)
+    rows = min(map(len, columns), default=0)
+    path, opened = Path(args.out), False
     try:
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with path.open("w", encoding="utf-8") as f:
+            opened = True
+            f.write("# " + json.dumps({**config, **results}, sort_keys=True) + "\n" + ",".join(header) + "\n")
+            for start in range(0, rows, _CSV_BLOCK_ROWS):
+                block = [_column_cells(column[start : start + _CSV_BLOCK_ROWS]) for column in columns]
+                f.write("\n".join(map(",".join, zip(*block))) + "\n")
     except OSError as exc:
+        if opened:  # a partial file is no result
+            path.unlink(missing_ok=True)
         raise ValidationError(f"cannot write {args.out}: {exc.strerror or exc}") from None
 
 
@@ -221,7 +232,7 @@ def cmd_error_correct(args: argparse.Namespace) -> int:
             ancilla_state=ancilla,
         )
         diag = rep.diagnostics
-        records[k] = [
+        record = [
             k,
             rep.outcome_value,
             diag["applied_correction"],
@@ -231,6 +242,7 @@ def cmd_error_correct(args: argparse.Namespace) -> int:
             pre_fid,
             ensemble_fidelity(rep.output, clean),
         ]
+        records[k] = ",".join(map(_fmt, record))  # each distinct outcome's text, formatted once
     _write_csv(
         args,
         [
@@ -245,7 +257,7 @@ def cmd_error_correct(args: argparse.Namespace) -> int:
             "pre_fidelity",
             "post_fidelity",
         ],
-        [range(args.trials), range(args.seed, args.seed + args.trials), *zip(*map(records.__getitem__, ks))],
+        [range(args.trials), range(args.seed, args.seed + args.trials), list(map(records.__getitem__, ks))],
     )
     return 0
 

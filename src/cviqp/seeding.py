@@ -1,4 +1,4 @@
-"""numpy's seeded uniform draw, batched over consecutive seeds: the per-trial
+"""numpy's seeded uniform draw, batched over blocks of consecutive seeds: the per-trial
 draws of the DV Hadamard-gadget trials and of the homodyne outcome sampler."""
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 # PCG64's 128-bit LCG multiplier as (high, low) 64-bit words
 _PCG_MULT = (np.uint64(2549297995355413924), np.uint64(4865540595714422341))
 _LOW32 = np.uint64(0xFFFFFFFF)
+_SEED_BLOCK = 4096  # seeds per pass: about 1 MiB of integer intermediates
 
 
 def _hash32(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
@@ -48,17 +49,28 @@ def require_seeds(first: int, count: int) -> None:
 
 
 def _seeded_uniforms(first: int, count: int) -> np.ndarray:
-    """``np.random.default_rng(first + t).random()`` for t < count, bit for bit, in one pass.
+    """``np.random.default_rng(first + t).random()`` for t < count, bit for bit,
+    ``_SEED_BLOCK`` seeds at a time, so the integer intermediates stay a fixed
+    size and only the float64 result grows with ``count``.
 
     default_rng(s) hashes s into a four-word SeedSequence pool, expands the
     pool into PCG64's 128-bit state and increment, and random() keeps the top
     53 bits of one XSL-RR output (O'Neill, PCG, HMC-CS-2014-0905).  Each stage
-    is integer arithmetic applied here to all seeds at once.  A seed below
-    2**128 is at most four 32-bit words, and zero-padding them is exactly
-    numpy's pool; larger seeds mix differently and are rejected.
+    is integer arithmetic applied here to a block of seeds at once; no seed's
+    draw depends on another's.  A seed below 2**128 is at most four 32-bit
+    words, and zero-padding them is exactly numpy's pool; larger seeds mix
+    differently and are rejected.
     """
     first = operator.index(first)
     require_seeds(first, count)
+    out = np.empty(count)
+    for start in range(0, count, _SEED_BLOCK):
+        out[start : start + _SEED_BLOCK] = _uniform_block(first + start, min(_SEED_BLOCK, count - start))
+    return out
+
+
+def _uniform_block(first: int, count: int) -> np.ndarray:
+    """:func:`_seeded_uniforms` of one block, its seeds checked by the caller."""
     t = np.arange(count, dtype=np.uint64)
     lo = np.uint64(first & 0xFFFFFFFFFFFFFFFF) + t
     hi = np.uint64(first >> 64) + (lo < t)

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import math
 import os
@@ -328,6 +329,34 @@ class TestWriteCsv:
         first, body = out.read_text(encoding="utf-8").split("\n", 1)
         assert first == "# " + json.dumps({"seed": 2**128 - 11, "solved": 0.5}, sort_keys=True)
         assert body == self.reference_body(header, columns)
+
+    @pytest.mark.parametrize("rows", [1, *(cli._CSV_BLOCK_ROWS + d for d in (-1, 0, 1)), 2 * cli._CSV_BLOCK_ROWS + 3])
+    def test_bytes_at_the_block_seams(self, rows, tmp_path):
+        floats = np.resize(np.array(self.EDGE_FLOATS), rows)
+        texts = [f"{t % 7},x" for t in range(rows)]
+        columns = [range(rows), floats, range(2**128 - rows, 2**128), texts, floats.astype(np.float32)]
+        header = ["trial", "float", "seed", "text", "float32"]
+        out = tmp_path / "w.csv"
+        _write_csv(argparse.Namespace(out=str(out)), header, columns)
+        assert out.read_text(encoding="utf-8").split("\n", 1)[1] == self.reference_body(header, columns)
+
+    def test_oserror_partway_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "dv.csv"
+        cells = cli._column_cells
+        written = []
+
+        def full_disk(column):
+            written.append(out.exists())
+            if len(written) > 3:  # the second block's first column: the first block is in the file
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return cells(column)
+
+        monkeypatch.setattr(cli, "_column_cells", full_disk)
+        trials = str(2 * cli._CSV_BLOCK_ROWS)
+        assert main(["dv", "--mode", "hadamard-gadget", "--trials", trials, "--seed", "1", "--out", str(out)]) == 2
+        assert written == [True] * 4
+        assert capsys.readouterr().err == f"error: cannot write {out}: No space left on device\n"
+        assert not out.exists()
 
     def test_signed_zeros_and_nans_keep_their_cells(self, tmp_path):
         out = tmp_path / "w.csv"
@@ -735,3 +764,18 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [README_COMMANDS["readme_error_correct.csv"], ["dv", "--mode", "hadamard-gadget", "--seed", "1"]],
+        ids=["readme_error_correct", "dv_hadamard_gadget"],
+    )
+    def test_trials_cost_a_few_bytes_each(self, argv, tmp_path):
+        trials = 100_000
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--trials", str(trials), "--out", str(tmp_path / "out.csv")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * trials, f"peak {peak / trials:.0f} bytes a trial"

@@ -11,7 +11,7 @@ from cviqp.gadgets import (
     dv_iqp_circuit,
     qubit_state,
 )
-from cviqp.seeding import _seeded_uniforms
+from cviqp.seeding import _SEED_BLOCK, _seeded_uniforms
 
 H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 X = np.array([[0, 1], [1, 0]])
@@ -96,6 +96,16 @@ class TestSeededUniforms:
     def test_ranges_across_word_boundaries(self, first):
         want = [np.random.default_rng(first + t).random() for t in range(6)]
         assert _seeded_uniforms(first, 6).tolist() == want
+
+    @pytest.mark.parametrize("count", [_SEED_BLOCK - 1, _SEED_BLOCK, _SEED_BLOCK + 1, 2 * _SEED_BLOCK + 3])
+    def test_counts_at_the_block_seams(self, count):
+        want = np.array([np.random.default_rng(977 + t).random() for t in range(count)])
+        assert np.array_equal(_seeded_uniforms(977, count).view(np.uint64), want.view(np.uint64))
+
+    def test_block_ending_at_the_last_seed(self):
+        first = 2**128 - _SEED_BLOCK - 3  # the second block ends at 2**128 - 1
+        want = np.array([np.random.default_rng(first + t).random() for t in range(_SEED_BLOCK + 3)])
+        assert np.array_equal(_seeded_uniforms(first, _SEED_BLOCK + 3).view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("first, count", [(-1, 1), (2**128, 1), (2**128 - 1, 2)])
     def test_seeds_outside_0_to_2_128_rejected(self, first, count):
