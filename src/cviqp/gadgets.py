@@ -480,7 +480,10 @@ def gkp_error_correct(
     else:
         k = sample_outcome(outcome_distribution(data_pos, anc, det), outcome_seed)
     p_k = det.bin_center(k)
-    correction = -centered_mod_sqrt_pi(p_k)
+    # p_k = 2k eta and sqrt(pi) = m eta: the centered residue of 2k mod m, in integers, is exactly 0 on
+    # the sqrt(pi) lattice and takes the half-open side, -sqrt(pi)/2, on a half-window tie
+    m = round(SQRT_PI / det.eta)
+    correction = -((2 * k + m // 2) % m - m // 2) / m * SQRT_PI
 
     # the correction is left pending on the ensemble: its readers shift one vector, not every row
     corrected = _condition(data_pos, anc, det, k, u=correction)

@@ -263,6 +263,24 @@ class TestGkpErrorCorrect:
         # residual bounded by resolution plus the ancilla width scale
         assert abs(rep.diagnostics["net_position_offset"]) <= det.eta + 3 * params.delta_envelope
 
+    # the README eta, 1 ulp off sqrt(pi)/4; and an odd number of pixels per sqrt(pi), which has no tie
+    @pytest.mark.parametrize("eta", [0.4431134627263791, SQRT_PI / 4, SQRT_PI / 12, SQRT_PI / 7])
+    def test_correction_is_the_pixels_exact_centered_residue(self, eta):
+        params = GkpParams.tied(0.25)
+        data = displace_q(gkp_plus(params, ORACLE_GRIDS["general"]), 0.2)
+        det = DetectorParams(eta=eta)
+        m = round(SQRT_PI / eta)
+        for k in range(-m, m + 1):
+            rep = gkp_error_correct(data, params, ShiftNoise.none(), det, fixed_outcome_k=k)
+            correction = rep.diagnostics["applied_correction"]
+            assert rep.output.u == correction
+            if 2 * k % m == 0:  # a multiple of sqrt(pi): no shift at all, and +0.0
+                assert correction == 0.0 and math.copysign(1.0, correction) == 1.0
+            elif 2 * (2 * k % m) == m:  # the half-window tie takes the half-open rule's side
+                assert correction == SQRT_PI / 2
+            else:
+                assert correction == pytest.approx(-centered_mod_sqrt_pi(det.bin_center(k)), abs=1e-13)
+
     def test_full_logical_shift_invisible(self, gc_grid):
         # a sqrt(pi) shift commutes with the mod-sqrt(pi) syndrome: the
         # correction stays near zero, the |0> comb lands on the |1> comb, and
