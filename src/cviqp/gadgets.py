@@ -412,6 +412,13 @@ def fourier_gadget(
     is reported as-is.  The diagnostics always carry both fidelities, against
     F psi and against :func:`fourier_gadget_target`.
     """
+    return _fourier_gadget(psi, sigma, det, postselect_k)[0]
+
+
+def _fourier_gadget(
+    psi: ModeState, sigma: float, det: DetectorParams, postselect_k: int
+) -> tuple[GadgetReport, ModeState]:
+    """:func:`fourier_gadget`'s report, and the ideal output F psi its fidelities read."""
     pos = as_rep(psi, Rep.POSITION)
     ancilla, kept = _squeezed_ancilla(sigma, pos.grid)
     check_edge_support(ancilla)  # a reused ancilla warns as a fresh build would
@@ -423,12 +430,13 @@ def fourier_gadget(
         "fidelity_vs_ideal_fourier": ensemble_fidelity(ens, ideal),
         "fidelity_vs_finite_squeezing_target": ensemble_fidelity(ens, _finite_squeezing_target(ideal, sigma)),
     }
-    return GadgetReport(
+    report = GadgetReport(
         outcome_k=postselect_k,
         outcome_value=det.bin_center(postselect_k),
         output=ens,
         diagnostics=diagnostics,
     )
+    return report, ideal
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +546,7 @@ def error_corrected_fourier(
     experiments can pin the correction outcome with ``fixed_outcome_k``.
     """
     g = psi.grid
-    fg_data = fourier_gadget(psi, sigma, det, postselect_k=0)
+    fg_data, ideal = _fourier_gadget(psi, sigma, det, 0)
     data1 = fg_data.output.principal_component()
 
     fg_anc = fourier_gadget(gkp_plus(gkp, g), sigma, det, postselect_k=0)
@@ -559,7 +567,7 @@ def error_corrected_fourier(
         "probability_correction_stage": ec.success_probability,
         "purity_fourier_stage": fg_data.diagnostics["ensemble_purity"],
         "purity_ancilla_stage": fg_anc.diagnostics["ensemble_purity"],
-        "fidelity_vs_ideal_fourier": ensemble_fidelity(ec.output, apply_fourier(psi)),
+        "fidelity_vs_ideal_fourier": ensemble_fidelity(ec.output, ideal),
         "uncorrected_fidelity_vs_ideal_fourier": fg_data.diagnostics[
             "fidelity_vs_ideal_fourier"
         ],

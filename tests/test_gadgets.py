@@ -750,6 +750,20 @@ class TestErrorCorrectedFourier:
         with pytest.raises(AttributeError):
             rep.success_probability = 0.5
 
+    def test_the_input_passes_the_fourier_gate_once(self, gc_grid, monkeypatch):
+        params = GkpParams.tied(0.15)
+        psi = displace_p(gkp_plus(params, gc_grid), 0.35)
+        original, inputs = gadgets.apply_fourier, []
+
+        def counting(state):
+            inputs.append(state)
+            return original(state)
+
+        monkeypatch.setattr(gadgets, "apply_fourier", counting)
+        rep = error_corrected_fourier(psi, params, 0.15, DetectorParams(eta=SQRT_PI / 16), fixed_outcome_k=0)
+        assert sum(np.array_equal(state.amplitudes, psi.amplitudes) for state in inputs) == 1
+        assert rep.diagnostics["fidelity_vs_ideal_fourier"] == ensemble_fidelity(rep.output, original(psi))
+
     def test_fidelity_improves_with_all_resources(self, gc_grid):
         # resource-improvement trend of the full pipeline (modal syndrome);
         # measured endpoints 0.8370 (0.15 resources) -> 0.8856 (0.1/0.03 resources)
