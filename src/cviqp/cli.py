@@ -11,7 +11,9 @@ same checks (a numeric entry must also be a JSON number).  Results are CSV
 files whose first line is a ``#``-prefixed JSON dump of the parsed parameters,
 so identical parameters with identical seeds produce byte-identical files, from
 flags or from a file.  Randomized commands require ``--seed``.  Commands hand
-``_write_csv`` their results by column.
+``_write_csv`` their results by column, and it formats and writes the rows in
+fixed-size blocks, so a run holds a few bytes of numeric array per trial but no
+per-trial text.
 
 Exit codes: 0 success (and ``--help``), 2 validation error (no result file is
 written), 3 numerical failure (zero-mass post-selection bin, failed root-find).

@@ -430,13 +430,12 @@ def _fourier_gadget(
         "fidelity_vs_ideal_fourier": ensemble_fidelity(ens, ideal),
         "fidelity_vs_finite_squeezing_target": ensemble_fidelity(ens, _finite_squeezing_target(ideal, sigma)),
     }
-    report = GadgetReport(
+    return GadgetReport(
         outcome_k=postselect_k,
         outcome_value=det.bin_center(postselect_k),
         output=ens,
         diagnostics=diagnostics,
-    )
-    return report, ideal
+    ), ideal
 
 
 # ---------------------------------------------------------------------------

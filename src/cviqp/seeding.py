@@ -43,7 +43,10 @@ def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.nda
 
 
 def require_seeds(first: int, count: int) -> None:
-    """Raise ``ValidationError`` unless the seeds ``first .. first + count - 1`` all lie in [0, 2**128)."""
+    """Raise ``ValidationError`` unless ``count`` >= 0 and the seeds ``first .. first + count - 1`` all lie
+    in [0, 2**128)."""
+    if count < 0:
+        raise ValidationError(f"seeded draws need a non-negative count, got {count}")
     if not 0 <= first < 2**128 or first + count > 2**128:
         raise ValidationError(f"seeded draws need seeds in [0, 2**128), got {first} .. {first + count - 1}")
 

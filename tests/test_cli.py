@@ -745,7 +745,8 @@ class TestFaultToleranceRoot:
 
 
 class TestPeakMemory:
-    """No command builds an n x n array: each run peaks below half of one, n^2 * 8 bytes."""
+    """No command builds an n x n array: each run peaks below half of one, n^2 * 8 bytes.
+    The sampled commands hold a few bytes of numeric array per trial and no per-trial text."""
 
     @pytest.mark.parametrize(
         "argv, n",

@@ -443,6 +443,8 @@ class TestSampleOutcomes:
 
     def test_no_draws(self):
         assert sample_outcomes(self.SHORT, 5, 0) == []
+        with pytest.raises(ValidationError, match="non-negative count"):
+            sample_outcomes(self.SHORT, 5, -1)
 
     @pytest.mark.parametrize("dist", [{}, {0: 0.5, 1: -0.25}], ids=["empty", "negative"])
     def test_invalid_distribution_rejected(self, dist):
