@@ -22,12 +22,12 @@ spectrum per distinct node offset, rolled per node.  Either way the
 ensemble keeps the kept mode and the slices as factors, and its weights and
 overlaps with a target are one dot per row.  The GKP correction stays
 pending on the ensemble, whose readers apply it to the one vector each of
-them reads.  A sample-regime correction trial on a self-dual grid takes six
-FFTs, fidelity included: one ancilla transform (of a default |0> comb built
-once per grid and params), three real FFTs for the outcome masses and two
-for the target's in-place shift.  The materialized two-mode path of the
-homodyne module computes the same numbers and serves as the brute-force
-oracle in the tests.
+them reads.  A sample-regime correction trial on a self-dual grid takes five
+FFTs, fidelity included: one transform of the noisy ancilla (none for a
+noiseless default |0> comb, built once per grid and params), three real FFTs
+for the outcome masses and one for the target's shift, made from the momentum
+form the target keeps.  The materialized two-mode path of the homodyne
+module computes the same numbers and serves as the brute-force oracle.
 
 The Fourier gadget's finite-squeezing target (psi convolved with a width-sigma
 Gaussian, read in momentum) is in position the ideal output F psi times the
@@ -75,7 +75,8 @@ _SQUEEZED_ANCILLAE = 4  # (sigma, grid) pairs whose Fourier-gadget ancilla is ke
 
 
 def centered_mod_sqrt_pi(x: float) -> float:
-    """Representative of x mod sqrt(pi) in [-sqrt(pi)/2, sqrt(pi)/2)."""
+    """Representative of x mod sqrt(pi) in [-sqrt(pi)/2, sqrt(pi)/2), for a continuous x; a
+    pixel's correction takes its residue in integers (:meth:`DetectorParams.lattice_residue`)."""
     return float((x + SQRT_PI / 2.0) % SQRT_PI - SQRT_PI / 2.0)
 
 
@@ -389,10 +390,9 @@ def _finite_squeezing_target(ideal: ModeState, sigma: float) -> ModeState:
 
 
 @functools.lru_cache(maxsize=_SQUEEZED_ANCILLAE)
-def _squeezed_ancilla(sigma: float, grid: QuadratureGrid) -> tuple[ModeState, ModeState]:
-    """The Fourier gadget's ancilla ``squeezed_momentum(sigma, grid)`` and its position form."""
-    ancilla = squeezed_momentum(sigma, grid)
-    return ancilla, as_rep(ancilla, Rep.POSITION)
+def _squeezed_ancilla(sigma: float, grid: QuadratureGrid) -> ModeState:
+    """The Fourier gadget's ancilla ``squeezed_momentum(sigma, grid)``, which keeps its position form."""
+    return squeezed_momentum(sigma, grid)
 
 
 def fourier_gadget(
@@ -420,9 +420,9 @@ def _fourier_gadget(
 ) -> tuple[GadgetReport, ModeState]:
     """:func:`fourier_gadget`'s report, and the ideal output F psi its fidelities read."""
     pos = as_rep(psi, Rep.POSITION)
-    ancilla, kept = _squeezed_ancilla(sigma, pos.grid)
+    ancilla = _squeezed_ancilla(sigma, pos.grid)
     check_edge_support(ancilla)  # a reused ancilla warns as a fresh build would
-    ens = _condition(kept, pos, det, postselect_k)
+    ens = _condition(as_rep(ancilla, Rep.POSITION), pos, det, postselect_k)
     ideal = apply_fourier(pos)
     diagnostics: dict[str, float] = {
         "leading_order_probability": 2.0 * det.eta * sigma / SQRT_PI,
@@ -468,7 +468,7 @@ def gkp_error_correct(
     corrected data mode, with the correction pending as its ``u``; the
     measured mode is gone.
     """
-    det.require_gkp_compatible()
+    m = det.require_gkp_compatible()
     if ancilla_state is None:  # a reused comb warns as a fresh build would
         ancilla_state = _default_ancilla(ancilla_params, data.grid)
         check_edge_support(ancilla_state)
@@ -487,10 +487,7 @@ def gkp_error_correct(
     else:
         k = sample_outcome(outcome_distribution(data_pos, anc, det), outcome_seed)
     p_k = det.bin_center(k)
-    # p_k = 2k eta and sqrt(pi) = m eta: the centered residue of 2k mod m, in integers, is exactly 0 on
-    # the sqrt(pi) lattice and takes the half-open side, -sqrt(pi)/2, on a half-window tie
-    m = round(SQRT_PI / det.eta)
-    correction = -((2 * k + m // 2) % m - m // 2) / m * SQRT_PI
+    correction = -det.lattice_residue(k) / m * SQRT_PI
 
     # the correction is left pending on the ensemble: its readers shift one vector, not every row
     corrected = _condition(data_pos, anc, det, k, u=correction)

@@ -231,9 +231,16 @@ def apply_fourier(psi: ModeState) -> ModeState:
 
 def displace_q(psi: ModeState, u: float) -> ModeState:
     """Position shift exp(-i u p): psi(q) -> psi(q - u), exact on the torus."""
-    rows = np.array(psi.amplitudes[np.newaxis])
-    _shift_rows(rows, psi.grid, psi.rep, u)
-    return ModeState(psi.grid, psi.rep, rows[0])
+    return ModeState(psi.grid, psi.rep, _shifted(psi, u))
+
+
+def _shifted(psi: ModeState, u: float) -> np.ndarray:
+    """:func:`displace_q`'s amplitudes, writeable: a copy of psi's kept momentum form, kicked, transformed back."""
+    rows = np.array(as_rep(psi, Rep.MOMENTUM).amplitudes[np.newaxis])
+    _shift_rows(rows, psi.grid, Rep.MOMENTUM, u)
+    if psi.rep is Rep.POSITION:
+        _transform(rows, psi.grid, Rep.POSITION, out=rows)
+    return rows[0]
 
 
 def _shift_rows(rows: np.ndarray, grid: QuadratureGrid, rep: Rep, u: float) -> None:

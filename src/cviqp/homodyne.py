@@ -46,7 +46,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import GridMismatchError, NumericalError, ValidationError, ZeroMassBinError
-from .gates import _check_shift, _shift_rows, displace_q
+from .gates import _check_shift, _shift_rows, _shifted, displace_q
 from .quadgrid import (
     ModeState,
     QuadratureGrid,
@@ -161,12 +161,19 @@ class DetectorParams:
         ratio = SQRT_PI / self.eta
         return abs(ratio - round(ratio)) <= GKP_BINNING_REL_TOL * ratio
 
-    def require_gkp_compatible(self) -> None:
+    def require_gkp_compatible(self) -> int:
+        """The integer m = sqrt(pi)/eta; ValidationError unless :attr:`gkp_compatible`."""
         if not self.gkp_compatible:
             raise ValidationError(
                 f"eta={self.eta} does not match the sqrt(pi) binning: "
                 f"sqrt(pi)/eta = {SQRT_PI / self.eta:.6f} is not an integer"
             )
+        return round(SQRT_PI / self.eta)
+
+    def lattice_residue(self, k: int) -> int:
+        """N = ((2k + m//2) mod m) - m//2, pixel k's center mod sqrt(pi) in units sqrt(pi)/m: a tie reads -m/2."""
+        m = self.require_gkp_compatible()
+        return (2 * k + m // 2) % m - m // 2
 
 
 @dataclass(frozen=True)
@@ -475,9 +482,8 @@ def ensemble_fidelity(ensemble: ConditionalEnsemble, target: ModeState) -> float
     if target.grid != ensemble.grid:
         raise GridMismatchError("states live on different grids")
     t = as_rep(target, ensemble.rep)
-    amplitudes = _normalized_amplitudes(t)
-    if ensemble.u != 0.0:  # in the normalized target's own buffer
-        _shift_rows(amplitudes[np.newaxis], t.grid, t.rep, -ensemble.u)
+    shifted = None if ensemble.u == 0.0 else _shifted(t, -ensemble.u)  # from the target's kept momentum form
+    amplitudes = _normalized_amplitudes(t, out=shifted)  # normalized in that one buffer
     w = ensemble.weights
     overlaps = ensemble.windows.overlaps(amplitudes) * t.spacing
     fids = np.minimum(np.abs(overlaps) ** 2 / ensemble._sq_norms, 1.0)

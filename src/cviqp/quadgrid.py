@@ -13,7 +13,8 @@ Conventions (hbar = 1, [q, p] = i, all quadratures dimensionless):
 The discrete position <-> momentum transform below is an exactly unitary
 rescaled FFT (the half-extent offsets of both grids become the alternating
 sign pre/post factors), so Parseval holds to machine precision for any
-amplitude vector, not just smooth ones.
+amplitude vector, not just smooth ones.  A state keeps the other representation
+it is transformed to, so it holds 16 bytes a point more while it lives.
 """
 
 from __future__ import annotations
@@ -134,6 +135,12 @@ class ModeState:
     def density(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
+    @functools.cached_property
+    def _other(self) -> ModeState:
+        """The other representation, transformed on first read and kept: what as_rep and to_* return."""
+        rep = Rep.MOMENTUM if self.rep is Rep.POSITION else Rep.POSITION
+        return ModeState(self.grid, rep, _transform(self.amplitudes, self.grid, rep))
+
 
 @dataclass(frozen=True)
 class TwoModeState:
@@ -172,12 +179,12 @@ def normalized(state: ModeState) -> ModeState:
     return ModeState(state.grid, state.rep, _normalized_amplitudes(state))
 
 
-def _normalized_amplitudes(state: ModeState) -> np.ndarray:
-    """The amplitudes of :func:`normalized`, in a new writeable array."""
+def _normalized_amplitudes(state: ModeState, out: np.ndarray | None = None) -> np.ndarray:
+    """The amplitudes of :func:`normalized` in a new writeable array, or ``out`` divided by the norm."""
     n = norm(state)
     if n == 0.0:
         raise ValidationError("cannot normalize a zero state")
-    return state.amplitudes / n
+    return np.divide(state.amplitudes if out is None else out, n, out=out)
 
 
 def check_edge_support(state: ModeState) -> float:
@@ -251,20 +258,18 @@ def to_momentum(psi: ModeState) -> ModeState:
     """Unitary transform to the momentum representation (see :func:`_transform`)."""
     if psi.rep is not Rep.POSITION:
         raise RepresentationError("to_momentum expects a position-representation state")
-    return ModeState(psi.grid, Rep.MOMENTUM, _transform(psi.amplitudes, psi.grid, Rep.MOMENTUM))
+    return psi._other
 
 
 def to_position(phi: ModeState) -> ModeState:
     """Inverse of :func:`to_momentum` (the +i kernel transform)."""
     if phi.rep is not Rep.MOMENTUM:
         raise RepresentationError("to_position expects a momentum-representation state")
-    return ModeState(phi.grid, Rep.POSITION, _transform(phi.amplitudes, phi.grid, Rep.POSITION))
+    return phi._other
 
 
 def as_rep(state: ModeState, rep: Rep) -> ModeState:
-    if state.rep is rep:
-        return state
-    return to_momentum(state) if rep is Rep.MOMENTUM else to_position(state)
+    return state if state.rep is rep else state._other
 
 
 def transform_mode(state: TwoModeState, mode: int, rep: Rep) -> TwoModeState:

@@ -14,7 +14,6 @@ from cviqp.analysis import min_squeezing_db, pe_bound, solve_ft_error, squeezing
 from cviqp.cli import main as cli_main
 from cviqp.gadgets import (
     ShiftNoise,
-    centered_mod_sqrt_pi,
     dv_hadamard_gadget,
     fourier_gadget,
     gkp_error_correct,
@@ -222,9 +221,10 @@ def test_criterion_7_error_correction_property():
     anc25 = gkp_zero(params25, grid)
     dist14 = outcome_distribution(data14, anc25, det)
     detected = 0
+    m = det.require_gkp_compatible()
     for seed in range(1000):
         k = sample_outcome(dist14, seed)
-        net = 1.4 - centered_mod_sqrt_pi(det.bin_center(k))
+        net = 1.4 - det.lattice_residue(k) / m * SQRT_PI  # the gadget's correction, in integers
         if abs(net) > SQRT_PI / 2.0:
             detected += 1
     rate = detected / 1000.0

@@ -278,8 +278,30 @@ class TestGkpErrorCorrect:
                 assert correction == 0.0 and math.copysign(1.0, correction) == 1.0
             elif 2 * (2 * k % m) == m:  # the half-window tie takes the half-open rule's side
                 assert correction == SQRT_PI / 2
-            else:
-                assert correction == pytest.approx(-centered_mod_sqrt_pi(det.bin_center(k)), abs=1e-13)
+            else:  # the centered residue of 2k mod m, in integers
+                residue = det.lattice_residue(k)
+                assert -m / 2 <= residue < m / 2 and (2 * k - residue) % m == 0
+                assert correction == -residue / m * SQRT_PI
+
+    # criterion 7's grid and eta, and the README grid and eta (1 ulp off sqrt(pi)/4)
+    @pytest.mark.parametrize(
+        "grid, eta",
+        [(self_dual_grid(8192), SQRT_PI / 8), (ORACLE_GRIDS["general"], 0.4431134627263791)],
+        ids=["criterion_7", "readme"],
+    )
+    def test_every_tie_pixel_of_the_grid_corrects_by_plus_half_sqrt_pi(self, grid, eta):
+        # a flat data mode gives every pixel mass; the float centered_mod_sqrt_pi of
+        # the pixel center lands on -sqrt(pi)/2 at some ties and +sqrt(pi)/2 at others
+        det = DetectorParams(eta=eta)
+        m = det.require_gkp_compatible()
+        flat = normalized(ModeState(grid, Rep.POSITION, np.ones(grid.n_points)))
+        pixels = det.pixel_masses(grid, np.ones(grid.n_points))
+        ties = [k for k in pixels if 2 * (2 * k % m) == m]
+        assert len(ties) > 50  # 128 and 58
+        for k in ties:
+            rep = gkp_error_correct(flat, GkpParams.tied(0.25), ShiftNoise.none(), det, fixed_outcome_k=k)
+            assert det.lattice_residue(k) == -(m // 2)
+            assert rep.diagnostics["applied_correction"] == -det.lattice_residue(k) / m * SQRT_PI == SQRT_PI / 2
 
     def test_full_logical_shift_invisible(self, gc_grid):
         # a sqrt(pi) shift commutes with the mod-sqrt(pi) syndrome: the
@@ -503,7 +525,7 @@ class TestGkpErrorCorrect:
             data = displace_q(gkp_plus(GkpParams.tied(0.25), grid), 0.2)
             anc = gkp_zero(GkpParams.tied(0.25), grid)
         else:
-            data = gadgets._squeezed_ancilla(0.1, grid)[1]
+            data = as_rep(gadgets._squeezed_ancilla(0.1, grid), Rep.POSITION)
             anc = vacuum(grid)
         _condition(data, anc, det, 0)  # plans the chirp-z transform
         tracemalloc.start()
@@ -705,6 +727,34 @@ class TestFactoredEnsemble:
         assert rep.outcome_k == -3 and rep.output.u != 0.0
         assert len(calls) <= 6, calls
         assert sum(name in ("fft", "ifft") for name in calls) <= 3, calls
+
+    def test_warm_trial_transforms_the_clean_state_no_more(self, monkeypatch):
+        # the benchmark's trial shape: the clean state keeps its momentum form, so
+        # displacing it and shifting it as the fidelity's target take one inverse
+        # transform each; the noisy ancilla takes one transform, the masses three
+        # real FFTs
+        grid = self_dual_grid(8192)
+        clean = gkp_plus(GkpParams.tied(0.25), grid)
+        det = DetectorParams(eta=SQRT_PI / 8)
+        noise = ShiftNoise(0.0, 0.05)
+        gkp_error_correct(displace_q(clean, 0.1), GkpParams.tied(0.2), noise, det, seed=1)  # warm-up
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+
+            def counting(*args, _name=name, _original=getattr(np.fft, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counting)
+        shifts = []
+        for seed, u1 in ((2, -0.2), (5, 0.5), (6, -0.4)):
+            calls.clear()
+            data = displace_q(clean, u1)
+            rep = gkp_error_correct(data, GkpParams.tied(0.2), noise, det, seed=seed)
+            ensemble_fidelity(rep.output, clean)
+            shifts.append(rep.output.u != 0.0)
+            assert calls == ["ifft", "fft", "rfft", "rfft", "irfft"] + ["ifft"] * shifts[-1], calls
+        assert shifts == [False, True, True]
 
 
 class TestErrorCorrectedFourier:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from cviqp.errors import ValidationError, ZeroMassBinError
-from cviqp.gates import apply_cz, tensor
+from cviqp.gates import _shift_rows, apply_cz, displace_q, tensor
 from cviqp.homodyne import (
     ConditionalEnsemble,
     DetectorParams,
@@ -24,8 +24,10 @@ from cviqp.homodyne import (
 from cviqp.quadgrid import (
     ModeState,
     Rep,
+    as_rep,
     fidelity_pure,
     make_grid,
+    norm,
     normalized,
     transform_mode,
 )
@@ -56,6 +58,16 @@ class TestDetectorParams:
         assert not DetectorParams(eta=0.2).gkp_compatible
         with pytest.raises(ValidationError):
             DetectorParams(eta=0.2).require_gkp_compatible()
+
+    @pytest.mark.parametrize("m", [4, 7, 8, 12])
+    def test_lattice_residue_is_the_centered_residue_of_2k_mod_m(self, m):
+        det = DetectorParams(eta=SQRT_PI / m)
+        assert det.require_gkp_compatible() == m
+        for k in range(-2 * m, 2 * m + 1):
+            residue = det.lattice_residue(k)
+            assert -m / 2 <= residue < m / 2 and (2 * k - residue) % m == 0
+        with pytest.raises(ValidationError):
+            DetectorParams(eta=0.2).lattice_residue(0)
 
     def test_positive_eta_required(self):
         with pytest.raises(ValidationError):
@@ -263,6 +275,24 @@ class TestEnsembleFidelity:
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValidationError):
             ConditionalEnsemble(make_grid(256, 30.0), Rep.POSITION, [], np.zeros((0, 256)))
+
+    @pytest.mark.parametrize("rep", list(Rep))
+    def test_pending_shift_shifts_the_normalized_target(self, rep):
+        # the target is shifted from its kept momentum form and normalized after, within
+        # 1e-15 of normalizing first and shifting the normalized copy in its own buffer
+        grid = make_grid(1024, 64.0)
+        target = random_smooth_state(grid, seed=13)
+        u = 0.7
+        rows = [as_rep(displace_q(psi, -u), rep).amplitudes for psi in (target, random_smooth_state(grid, seed=14))]
+        ens = ConditionalEnsemble(grid, rep, [0.8, 0.2], rows, u=u)
+        t = as_rep(target, rep)
+        amplitudes = t.amplitudes / norm(t)
+        _shift_rows(amplitudes[np.newaxis], grid, rep, -u)
+        overlaps = ens.windows.overlaps(amplitudes) * t.spacing
+        fids = np.minimum(np.abs(overlaps) ** 2 / (ens.windows.sq_norms * t.spacing), 1.0)
+        expected = float(np.dot(ens.weights, fids) / np.sum(ens.weights))
+        assert ensemble_fidelity(ens, target) == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert 0.5 < expected < 1.0
 
 
 class TestConditionalEnsemble:

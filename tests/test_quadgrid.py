@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from cviqp.quadgrid import (
     Rep,
     TwoModeState,
     _transform,
+    as_rep,
     fidelity_pure,
     inner_product,
     make_grid,
@@ -154,6 +157,28 @@ class TestTransforms:
         psi = random_dense_state(grid_small, seed=7)
         back = to_position(to_momentum(psi))
         assert np.max(np.abs(back.amplitudes - psi.amplitudes)) < 1e-8
+
+    @pytest.mark.parametrize("rep", list(Rep))
+    def test_the_other_representation_is_kept(self, grid_small, rep):
+        # made once, bit for bit a fresh transform, and read by as_rep, to_momentum and to_position alike
+        psi = random_dense_state(grid_small, seed=9)
+        state = psi if rep is Rep.POSITION else ModeState(grid_small, rep, psi.amplitudes)
+        other = Rep.MOMENTUM if rep is Rep.POSITION else Rep.POSITION
+        kept = as_rep(state, other)
+        assert kept is as_rep(state, other)
+        assert kept is (to_momentum(state) if other is Rep.MOMENTUM else to_position(state))
+        assert kept.rep is other and as_rep(state, rep) is state
+        fresh = _transform(state.amplitudes, grid_small, other)
+        assert kept.amplitudes.tobytes() == fresh.tobytes()
+        assert not kept.amplitudes.flags.writeable
+
+    def test_the_kept_form_does_not_keep_its_source_alive(self, grid_small):
+        # no link back from the kept form, so no reference cycle: the source goes with its last reference
+        psi = random_dense_state(grid_small, seed=10)
+        kept = to_momentum(psi)
+        source = weakref.ref(psi)
+        del psi
+        assert source() is None and kept.rep is Rep.MOMENTUM
 
     def test_wrong_rep_rejected(self, grid_small):
         psi = random_smooth_state(grid_small, seed=8)
