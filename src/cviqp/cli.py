@@ -32,21 +32,16 @@ import numpy as np
 from . import analysis
 from .errors import NumericalError, ValidationError
 from .gadgets import (
-    ShiftNoise,
+    correction_diagnostics,
+    correction_fidelities,
     dv_hadamard_trials,
     dv_iqp_circuit,
     fourier_gadget,
-    gkp_error_correct,
     outcome_distribution,
     qubit_state,
 )
 from .gates import displace_q
-from .homodyne import (
-    DetectorParams,
-    ensemble_fidelity,
-    gkp_readout,
-    sample_outcomes,
-)
+from .homodyne import DetectorParams, gkp_readout, sample_outcomes
 from .quadgrid import ModeState, Rep, fidelity_pure, make_grid, normalized
 from .seeding import require_seeds
 from .states import GkpParams, gkp_minus, gkp_one, gkp_plus, gkp_zero, squeezed_momentum
@@ -219,31 +214,13 @@ def cmd_error_correct(args: argparse.Namespace) -> int:
     data = displace_q(clean, args.u1)
     pre_fid = fidelity_pure(clean, data)
     ancilla = gkp_zero(params, grid)
-    # one conditioning per distinct outcome, in first-draw order; trials resample the outcome only
-    dist = outcome_distribution(data, ancilla, det)
-    ks = sample_outcomes(dist, args.seed, args.trials)
+    # every distinct outcome scored at once, in first-draw order; trials resample the outcome only
+    ks = sample_outcomes(outcome_distribution(data, ancilla, det), args.seed, args.trials)
     records = {}
-    for k in dict.fromkeys(ks):
-        rep = gkp_error_correct(
-            data,
-            params,
-            ShiftNoise.none(),
-            det,
-            fixed_outcome_k=k,
-            known_data_shift=(args.u1, 0.0),
-            ancilla_state=ancilla,
-        )
-        diag = rep.diagnostics
-        record = [
-            k,
-            rep.outcome_value,
-            diag["applied_correction"],
-            diag["net_position_offset"],
-            diag["threshold_held"],
-            diag["logical_miscorrection"],
-            pre_fid,
-            ensemble_fidelity(rep.output, clean),
-        ]
+    for k, post_fid in correction_fidelities(data, ancilla, det, clean, ks).items():
+        diag = correction_diagnostics(det, k, (args.u1, 0.0))
+        columns = ("applied_correction", "net_position_offset", "threshold_held", "logical_miscorrection")
+        record = [k, det.bin_center(k), *map(diag.__getitem__, columns), pre_fid, post_fid]
         records[k] = ",".join(map(_fmt, record))  # each distinct outcome's text, formatted once
     _write_csv(
         args,

@@ -26,8 +26,13 @@ them reads.  A sample-regime correction trial on a self-dual grid takes five
 FFTs, fidelity included: one transform of the noisy ancilla (none for a
 noiseless default |0> comb, built once per grid and params), three real FFTs
 for the outcome masses and one for the target's shift, made from the momentum
-form the target keeps.  The materialized two-mode path of the homodyne
-module computes the same numbers and serves as the brute-force oracle.
+form the target keeps.  Many outcomes of one correction are scored without
+conditioning on any pixel (:func:`correction_fidelities`): a row's overlap with
+the target is linear in the measured mode's spectrum, so one target shift and
+two chirp-z transforms per distinct correction give the overlap at every node
+of every pixel, where the outcome density is read.  The materialized two-mode
+path of the homodyne module computes the same numbers and serves as the
+brute-force oracle.
 
 The Fourier gadget's finite-squeezing target (psi convolved with a width-sigma
 Gaussian, read in momentum) is in position the ideal output F psi times the
@@ -42,12 +47,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, ZeroMassBinError
 from .homodyne import (
+    ZERO_MASS_TOL,
     ConditionalEnsemble,
     DetectorParams,
     PixelWindows,
@@ -58,6 +64,7 @@ from .quadgrid import (
     ModeState,
     QuadratureGrid,
     Rep,
+    _normalized_amplitudes,
     _require_same_grid,
     _transform,
     as_rep,
@@ -65,7 +72,7 @@ from .quadgrid import (
     normalized,
     to_momentum,
 )
-from .gates import _apply_linear_phase, _kick_rows, _shift_rows, apply_fourier
+from .gates import _apply_linear_phase, _kick_rows, _shift_rows, _shifted, apply_fourier
 from .seeding import _seeded_uniforms
 from .states import GkpParams, gkp_plus, gkp_zero, squeezed_momentum
 
@@ -350,26 +357,92 @@ def outcome_distribution(
     on the ``det.live_pixels`` where the sample-lattice density has mass.
     """
     _require_same_grid(data, ancilla)
-    kept = as_rep(data, Rep.POSITION)
-    g = ancilla.grid
+    return _outcome_nodes(as_rep(data, Rep.POSITION), ancilla, det)[0]
+
+
+def _outcome_nodes(
+    kept: ModeState, measured: ModeState, det: DetectorParams
+) -> tuple[dict[int, float], tuple, Callable[[np.ndarray], dict[int, float]]]:
+    """:func:`outcome_distribution`'s map, the lattice of nodes it sums and its rule for the sum.
+
+    The lattice (offsets, h, a0, n_out) holds the nodes s = offsets[r] + (a0 + a) h,
+    a < n_out, as :func:`_density_on_lattice` lays them out: in the sample regime the
+    momentum samples, in the sub-grid regime a row per Gauss-Legendre offset of
+    ``det.pixel_nodes(g, 0)`` and a column per live pixel.  The rule maps values at the
+    nodes, without their measures, to each pixel's measure-weighted sum.
+    """
+    g = measured.grid
     n = g.n_points
     coeffs = None
     if g.is_self_dual:
         # masses[a] = dp dq sum_m |kept_m|^2 |meas_tilde(p_a - q_m)|^2, a circular convolution
-        t = np.abs(as_rep(ancilla, Rep.MOMENTUM).amplitudes) ** 2
+        t = np.abs(as_rep(measured, Rep.MOMENTUM).amplitudes) ** 2
         spec = np.fft.rfft(np.abs(kept.amplitudes) ** 2) * np.fft.rfft(np.roll(t, -(n // 2)))
         masses = np.maximum(np.fft.irfft(spec, n), 0.0) * g.dp * g.dq
     else:
-        coeffs = _density_coefficients(kept, ancilla)
+        coeffs = _density_coefficients(kept, measured)
         masses = g.dp * _density_on_lattice(coeffs, g.dq, np.zeros(1), g.dp, -(n // 2), n)[0]
     if det.sample_aligned(g):
-        return det.pixel_masses(g, masses)
+        lattice = (np.zeros(1), g.dp, -(n // 2), n)
+        return det.pixel_masses(g, masses), lattice, lambda values: det.pixel_masses(g, g.dp * values[0])
     live = det.live_pixels(g, masses)
     if coeffs is None:
-        coeffs = _density_coefficients(kept, ancilla)
+        coeffs = _density_coefficients(kept, measured)
     offsets, wts = det.pixel_nodes(g, 0)  # every pixel's nodes sit at these offsets from its center
-    dens = _density_on_lattice(coeffs, g.dq, offsets, 2.0 * det.eta, live.start, len(live))
-    return dict(zip(live, (wts @ dens).tolist()))
+    lattice = (offsets, 2.0 * det.eta, live.start, len(live))
+
+    def pixel_sums(values: np.ndarray) -> dict[int, float]:
+        return dict(zip(live, (wts @ values).tolist()))
+
+    return pixel_sums(_density_on_lattice(coeffs, g.dq, *lattice)), lattice, pixel_sums
+
+
+def correction_fidelities(
+    data: ModeState, ancilla: ModeState, det: DetectorParams, target: ModeState, ks: Iterable[int]
+) -> dict[int, float]:
+    """``{k: F_k}`` over the distinct pixels of ``ks``, in first-seen order: F_k is what
+    ``ensemble_fidelity(gkp_error_correct(data, ..., det, fixed_outcome_k=k,
+    ancilla_state=ancilla).output, target)`` reports, read without conditioning on a pixel.
+
+    A row's overlap with the target is linear in the measured mode's spectrum.  Per
+    distinct correction c: t_c is the normalized target shifted by -c, from its kept
+    momentum form, and G the chirp-z transform of f = conj(t_c) kept at ratio exp(i dq^2);
+    the overlap at node s is dq O(s), O(s) = dq/sqrt(2 pi) sum_j psi_j G_j exp(-i s q_j),
+    psi the ancilla in position.  One more chirp-z transform, of psi G, gives O at every
+    node where :func:`outcome_distribution` reads the outcome density D, and
+    F_k = sum mu dq^2 |O|^2 / sum mu D over pixel k's nodes, mu a node's measure.
+    Cost: the outcome density once, then one target shift and two chirp-z transforms per
+    distinct correction.  Accuracy: P_k F_k rounds relative to the whole sum over pixels,
+    as P_k rounds relative to the whole distribution, so F_k carries about 1e-16 / P_k
+    relative rounding where F_k is of the order of the mean fidelity, more where it is
+    far below.  A pixel whose mass in that distribution is below 1e-15 (or absent) raises
+    ZeroMassBinError before any target is shifted, as :meth:`ConditionalEnsemble.from_pixel`
+    does.
+    """
+    _require_same_grid(data, ancilla)
+    _require_same_grid(data, target)
+    order = list(dict.fromkeys(ks))
+    groups: dict[float, list[int]] = {}
+    for k in order:
+        groups.setdefault(correction_diagnostics(det, k)["applied_correction"], []).append(k)
+    kept = as_rep(data, Rep.POSITION)
+    g, n = kept.grid, kept.grid.n_points
+    masses, (offsets, h, a0, n_out), pixel_sums = _outcome_nodes(kept, ancilla, det)
+    for k in order:
+        if masses.get(k, 0.0) < ZERO_MASS_TOL:
+            raise ZeroMassBinError(f"bin k={k} carries probability {masses.get(k, 0.0):.3e} (< {ZERO_MASS_TOL:.0e})")
+    t = as_rep(target, Rep.POSITION)
+    fids = {}
+    for c, group in groups.items():
+        f = _normalized_amplitudes(t, out=None if c == 0.0 else _shifted(t, -c))
+        np.multiply(np.conj(f, out=f), kept.amplitudes, out=f)
+        spectrum = _czt(f, g.dq**2, -(n // 2), n, -(n // 2))
+        spectrum *= as_rep(ancilla, Rep.POSITION).amplitudes
+        # |O| at the nodes: the phase exp(i s q_0) that j0 = 0 leaves out does not change it
+        o = _czt(spectrum, -h * g.dq, 0, n_out, a0, tilt=(0.0, -g.dq * offsets))
+        sums = pixel_sums(np.abs(o) ** 2 * (g.dq**4 / (2.0 * math.pi)))
+        fids.update((k, sums[k] / masses[k]) for k in group)
+    return {k: fids[k] for k in order}
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +534,15 @@ def gkp_error_correct(
     by minus the centered representative of p_k mod sqrt(pi).  When the data
     mode's own shift (u1, v1) is known to the caller, the diagnostics report
     whether the recovery threshold |u1 - v2| <= sqrt(pi)/2 - eta held and
-    whether the applied correction left a logical (+-sqrt(pi)) offset.
+    whether the applied correction left a logical (+-sqrt(pi)) offset: those of
+    :func:`correction_diagnostics`, with the ancilla's realized shift (u2, v2).
 
     Fixed outcomes win over the seeded sampler, and seeds are made only when
     something is drawn or a seed is given.  The returned ensemble is the
     corrected data mode, with the correction pending as its ``u``; the
     measured mode is gone.
     """
-    m = det.require_gkp_compatible()
+    det.require_gkp_compatible()
     if ancilla_state is None:  # a reused comb warns as a fresh build would
         ancilla_state = _default_ancilla(ancilla_params, data.grid)
         check_edge_support(ancilla_state)
@@ -486,30 +560,35 @@ def gkp_error_correct(
         k = fixed_outcome_k
     else:
         k = sample_outcome(outcome_distribution(data_pos, anc, det), outcome_seed)
-    p_k = det.bin_center(k)
-    correction = -det.lattice_residue(k) / m * SQRT_PI
+    diagnostics = correction_diagnostics(det, k, known_data_shift, v2)
 
     # the correction is left pending on the ensemble: its readers shift one vector, not every row
-    corrected = _condition(data_pos, anc, det, k, u=correction)
+    corrected = _condition(data_pos, anc, det, k, u=diagnostics["applied_correction"])
+    return GadgetReport(
+        outcome_k=k,
+        outcome_value=det.bin_center(k),
+        output=corrected,
+        diagnostics={**diagnostics, "ancilla_u2": u2, "ancilla_v2": v2},
+    )
 
-    diagnostics: dict[str, float] = {
-        "applied_correction": correction,
-        "ancilla_u2": u2,
-        "ancilla_v2": v2,
-    }
+
+def correction_diagnostics(
+    det: DetectorParams, k: int, known_data_shift: tuple[float, float] | None = None, ancilla_v2: float = 0.0
+) -> dict[str, float]:
+    """A GKP correction at pixel k: ``applied_correction`` (minus the pixel's
+    :meth:`DetectorParams.lattice_residue` in units sqrt(pi)/m) and, given the data's
+    shift (u1, v1), ``threshold_held`` (|u1 - ancilla_v2| <= sqrt(pi)/2 - eta),
+    ``net_position_offset`` and ``logical_miscorrection`` (beyond sqrt(pi)/2)."""
+    correction = -det.lattice_residue(k) / det.require_gkp_compatible() * SQRT_PI
+    diagnostics = {"applied_correction": correction}
     if known_data_shift is not None:
         u1, _v1 = known_data_shift
         margin = SQRT_PI / 2.0 - det.eta
-        diagnostics["threshold_held"] = float(abs(u1 - v2) <= margin)
+        diagnostics["threshold_held"] = float(abs(u1 - ancilla_v2) <= margin)
         net = u1 + correction
         diagnostics["net_position_offset"] = net
         diagnostics["logical_miscorrection"] = float(abs(net) > SQRT_PI / 2.0)
-    return GadgetReport(
-        outcome_k=k,
-        outcome_value=p_k,
-        output=corrected,
-        diagnostics=diagnostics,
-    )
+    return diagnostics
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import cviqp
-from cviqp import cli
+from cviqp import cli, gadgets
 from cviqp.cli import _fmt, _write_csv, main
 
-from test_reported_outputs import README_COMMANDS
+from test_reported_outputs import README_COMMANDS, assert_matches_recorded
 
 SQRT_PI = math.sqrt(math.pi)
 # error-correct on a small grid, without seed, trials or output
@@ -265,6 +265,36 @@ class TestErrorCorrectCommand:
         ks = [int(r[header.index("outcome_k")]) for r in rows]
         assert ks == [cviqp.sample_outcome(dist, seed + t) for t in range(12)]
         assert len(set(ks)) > 1
+
+    def test_outcomes_are_scored_without_conditioning_on_a_pixel(self, tmp_path, monkeypatch):
+        # the README run: a conditioning per distinct outcome made over 200 numpy FFTs at seed 977
+        def no_conditioning(*_args, **_kwargs):
+            raise AssertionError("error-correct reads its fidelities without conditioning on a pixel")
+
+        monkeypatch.setattr(gadgets, "_condition", no_conditioning)
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            transform = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *a, _f=transform, **k: calls.append(_f) or _f(*a, **k))
+        out = tmp_path / "readme_error_correct.csv"
+        assert main([*README_COMMANDS[out.name], "--out", str(out)]) == 0
+        assert len(calls) <= 40
+        assert_matches_recorded(out, out.name)
+
+    def test_warm_run_plans_no_chirp_z_transform(self, tmp_path):
+        argv = [*README_COMMANDS["readme_error_correct.csv"], "--out", str(tmp_path / "ec.csv")]
+        assert main(argv) == 0
+        misses = gadgets._czt_plan.cache_info().misses
+        assert main(argv) == 0
+        assert gadgets._czt_plan.cache_info().misses == misses
+
+    @pytest.mark.parametrize("p", [44.0, 53.0], ids=["beyond_support", "beyond_window"])
+    def test_outcome_without_mass_exits_3_without_file(self, p, tmp_path, monkeypatch):
+        k = round(p / (SQRT_PI / 2))  # the pixel at momentum p; the window ends at 50.3
+        monkeypatch.setattr(cli, "sample_outcomes", lambda dist, seed, count: [0] * (count - 1) + [k])
+        out = tmp_path / "ec.csv"
+        assert main([*EC_SMALL, "--trials", "3", "--seed", "1", "--out", str(out)]) == 3
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed, trials", [(2**128 - 1, 2), (2**128, 1)])
     def test_seeds_from_2_128_exit_2_without_file(self, seed, trials, tmp_path, capsys, monkeypatch):

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cviqp import gadgets, gates, homodyne, quadgrid, states
-from cviqp.errors import GridMismatchError, ValidationError
+from cviqp.errors import GridMismatchError, ValidationError, ZeroMassBinError
 from cviqp.gadgets import (
     ShiftNoise,
     _condition,
     apply_shift_noise,
     centered_mod_sqrt_pi,
+    correction_diagnostics,
+    correction_fidelities,
     error_corrected_fourier,
     fourier_gadget,
     fourier_gadget_target,
@@ -755,6 +757,63 @@ class TestFactoredEnsemble:
             shifts.append(rep.output.u != 0.0)
             assert calls == ["ifft", "fft", "rfft", "rfft", "irfft"] + ["ifft"] * shifts[-1], calls
         assert shifts == [False, True, True]
+
+
+class TestCorrectionFidelities:
+    """The all-pixel reader of the CLI (its agreement with one conditioning per pixel
+    is a property of ``tests/test_properties.py``)."""
+
+    @staticmethod
+    def readme_case(eta=SQRT_PI / 4):
+        params = GkpParams.tied(0.25)
+        grid = make_grid(1024, 64.0)
+        clean = gkp_plus(params, grid)
+        return displace_q(clean, 0.2), gkp_zero(params, grid), DetectorParams(eta=eta), clean
+
+    def test_two_chirp_z_transforms_per_distinct_correction(self, monkeypatch):
+        data, ancilla, det, clean = self.readme_case()
+        ks = [k for k, p in outcome_distribution(data, ancilla, det).items() if p > 1e-6]
+        corrections = {correction_diagnostics(det, k)["applied_correction"] for k in ks}
+        assert len(ks) > 20 and len(corrections) == 2
+        calls = []
+        czt = gadgets._czt
+        monkeypatch.setattr(gadgets, "_czt", lambda *args, **kwargs: calls.append(1) or czt(*args, **kwargs))
+        fids = correction_fidelities(data, ancilla, det, clean, ks)
+        assert len(calls) == 2 + 2 * len(corrections)  # the outcome density, then two per correction
+        assert correction_fidelities(data, ancilla, det, clean, iter(ks[:3])) == {k: fids[k] for k in ks[:3]}
+        for k in (ks[0], ks[-1]):
+            rep = gkp_error_correct(data, GkpParams.tied(0.25), ShiftNoise.none(), det, fixed_outcome_k=k,
+                                    ancilla_state=ancilla)
+            assert fids[k] == pytest.approx(ensemble_fidelity(rep.output, clean), rel=1e-10)
+
+    # the momentum window is |p| < 50.3: at 44 the state carries no mass, 53 lies beyond the window
+    @pytest.mark.parametrize("p", [44.0, 53.0], ids=["beyond_support", "beyond_window"])
+    @pytest.mark.parametrize("m", [4, 10], ids=["sample", "sub_grid"])
+    def test_pixel_without_mass_raises_as_conditioning_does(self, p, m):
+        data, ancilla, det, clean = self.readme_case(SQRT_PI / m)
+        assert det.sample_aligned(data.grid) == (m == 4)
+        k = round(p / (2.0 * det.eta))
+        with pytest.raises(ZeroMassBinError, match=f"k={k}"):
+            correction_fidelities(data, ancilla, det, clean, [0, k])
+        if p < 50.0:
+            with pytest.raises(ZeroMassBinError, match=f"k={k}"):
+                gkp_error_correct(data, GkpParams.tied(0.25), ShiftNoise.none(), det, fixed_outcome_k=k,
+                                  ancilla_state=ancilla)
+
+    def test_mismatched_grids_rejected(self):
+        data, ancilla, det, _ = self.readme_case()
+        with pytest.raises(GridMismatchError):
+            correction_fidelities(data, ancilla, det, gkp_plus(GkpParams.tied(0.25), make_grid(1024, 60.0)), [0])
+
+    def test_gadget_reports_the_shared_diagnostics(self):
+        data, _, det, _ = self.readme_case()
+        for seed in range(5):
+            rep = gkp_error_correct(data, GkpParams.tied(0.25), ShiftNoise(0.1, 0.6), det, seed=seed,
+                                    known_data_shift=(0.2, 0.0))
+            v2 = rep.diagnostics["ancilla_v2"]
+            shared = correction_diagnostics(det, rep.outcome_k, (0.2, 0.0), v2)
+            assert rep.diagnostics == {**shared, "ancilla_u2": rep.diagnostics["ancilla_u2"], "ancilla_v2": v2}
+        assert list(correction_diagnostics(det, 1)) == ["applied_correction"]
 
 
 class TestErrorCorrectedFourier:

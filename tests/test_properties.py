@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from cviqp.gadgets import (
     ShiftNoise,
+    correction_fidelities,
     fourier_gadget,
     fourier_gadget_target,
     gkp_error_correct,
@@ -183,6 +184,30 @@ def test_engine_matches_the_oracle_on_every_grid_and_regime(self_dual, sample, d
     oracle_dist = bin_probabilities(joint, 2, det, k_range=ks, warn_tail=False)
     for j in ks:
         assert abs(dist.get(j, 0.0) - oracle_dist[j]) <= 1e-13
+
+
+# the all-pixel reader against one conditioning per pixel, with the data as target, as the CLI scores it
+@pytest.mark.parametrize("self_dual", [True, False], ids=["self_dual", "general"])
+@pytest.mark.parametrize("sample", [True, False], ids=["sample", "sub_grid"])
+@settings(derandomize=True, deadline=None, max_examples=5)
+@given(draws=st.data())
+def test_correction_fidelities_match_one_conditioning_per_pixel(self_dual, sample, draws):
+    data, ancilla, det, _ = draws.draw(pixels(self_dual, sample))
+    dist = outcome_distribution(data, ancilla, det)
+    live = [k for k, p in dist.items() if p >= 1e-9]
+    ks = draws.draw(st.lists(st.sampled_from(live), min_size=1, max_size=8))
+    fids = correction_fidelities(data, ancilla, det, data, ks)
+    assert list(fids) == list(dict.fromkeys(ks))
+    # P_k F_k rounds relative to the whole sum over outcomes, sum_j P_j F_j
+    total = sum(dist[k] * f for k, f in correction_fidelities(data, ancilla, det, data, live).items())
+    for k, fid in fids.items():
+        rep = gkp_error_correct(
+            data, GkpParams.tied(0.5), ShiftNoise.none(), det, fixed_outcome_k=k, ancilla_state=ancilla
+        )
+        want = ensemble_fidelity(rep.output, data)
+        assert abs(dist[k] * fid - rep.success_probability * want) <= 1e-14
+        if dist[k] >= 1e-3:
+            assert abs(fid - want) <= 1e-12 * want + 1e-15 * total / dist[k]
 
 
 @st.composite

@@ -55,10 +55,8 @@ def _same_token(got: str, want: str) -> bool:
     return g == w if w.lstrip("-").isdigit() else _same_field("", g, w)
 
 
-@pytest.mark.parametrize("name", sorted(README_COMMANDS))
-def test_readme_csv_matches_recorded_values(tmp_path, name):
-    out = tmp_path / name
-    assert main([*README_COMMANDS[name], "--out", str(out)]) == 0
+def assert_matches_recorded(out: Path, name: str) -> None:
+    """The CSV at ``out`` holds the values recorded in ``tests/data/<name>``."""
     got = out.read_text().splitlines()
     want = (DATA / name).read_text().splitlines()
     assert got[:2] == want[:2]  # configuration and column names
@@ -69,6 +67,13 @@ def test_readme_csv_matches_recorded_values(tmp_path, name):
         assert len(fields) == len(header)
         for column, g, w in fields:
             assert _same_field(column, g, w), f"{column}: {g} != {w} in row {line_want}"
+
+
+@pytest.mark.parametrize("name", sorted(README_COMMANDS))
+def test_readme_csv_matches_recorded_values(tmp_path, name):
+    out = tmp_path / name
+    assert main([*README_COMMANDS[name], "--out", str(out)]) == 0
+    assert_matches_recorded(out, name)
 
 
 def test_readme_scaling_stdout_matches_recorded_values(capsys):
